@@ -159,6 +159,12 @@ inline void mul_add_stream(T* dst, const T* x, const T* y, index_t n) {
 inline const char* width_label() { return "scalar"; }
 
 template <typename T>
+struct NativeVec {  // one lane: vector kernels run scalar
+  using vec = T;
+  using vec_u = T;
+};
+
+template <typename T>
 inline void mul_add_stream(T* dst, const T* x, const T* y, index_t n) {
   for (index_t i = 0; i < n; ++i) dst[i] += x[i] * y[i];
 }

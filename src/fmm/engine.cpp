@@ -73,6 +73,47 @@ void count_stage(const StageStats& st, bool f32) {
   FMMFFT_HIST("fmm.launch_us", st.seconds * 1e6);
 }
 
+// S2T tile: 4 rows × 4 vectors = 16 accumulators of AVX-512's 32 registers.
+constexpr int kS2tRows = 4, kS2tVecs = FMMFFT_SIMD_BYTES == 64 ? 4 : 2;
+
+/// TI target rows from `trow` × NV V-vectors, kept in registers across the
+/// nj = 3·M_L source rows from `srow`; row t reads table row `tab` + jj - t.
+/// Per element: one multiply and one add per j ascending, as the scalar loop.
+template <typename V, int TI, int NV, typename T>
+inline void s2t_tile(T* trow, const T* srow, const T* tab, index_t cp, index_t nj) {
+  constexpr index_t VL = index_t(sizeof(V) / sizeof(T));
+  const auto vec = [](const T* p) { return *reinterpret_cast<const V*>(p); };
+  V acc[TI][NV];
+  for (int t = 0; t < TI; ++t)
+    for (int v = 0; v < NV; ++v) acc[t][v] = vec(trow + cp * t + VL * v);
+  for (index_t jj = 0; jj < nj; ++jj)
+    for (int v = 0; v < NV; ++v) {
+      const V s = vec(srow + cp * jj + VL * v);
+      for (int t = 0; t < TI; ++t) acc[t][v] += vec(tab + cp * (jj - t) + VL * v) * s;
+    }
+  for (int t = 0; t < TI; ++t)
+    for (int v = 0; v < NV; ++v) *reinterpret_cast<V*>(trow + cp * t + VL * v) = acc[t][v];
+}
+
+/// S2T of boxes [b_lo, b_hi) (`t0`: T of box 0, `s0`: S row j = -M_L of box
+/// 0) over each NV-vector pc-chunk from pc0, chunks outermost so their table
+/// slice stays cached; one-row tiles take the i-tail, narrower chunks the pc-tail.
+template <typename V, int NV, typename T>
+void s2t_sweep(T* t0, const T* s0, const T* tab, index_t cp, index_t ml, index_t b_lo,
+               index_t b_hi, index_t pc0) {
+  for (const index_t w = NV * index_t(sizeof(V) / sizeof(T)); pc0 + w <= cp; pc0 += w)
+    for (index_t b = b_lo; b < b_hi; ++b) {
+      T* tb = t0 + cp * ml * b + pc0;
+      const T *sb = s0 + cp * ml * b + pc0, *tr = tab + cp * (ml - 1) + pc0;
+      index_t i = 0;
+      for (; i + kS2tRows <= ml; i += kS2tRows)
+        s2t_tile<V, kS2tRows, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
+      for (; i < ml; ++i) s2t_tile<V, 1, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
+    }
+  if constexpr (NV > 1 || !std::is_same_v<V, T>)
+    s2t_sweep<std::conditional_t<NV == 1, T, V>, 1>(t0, s0, tab, cp, ml, b_lo, b_hi, pc0);
+}
+
 }  // namespace
 
 template <typename T>
@@ -236,70 +277,20 @@ void Engine<T>::s2t() {
   WallTimer stage_timer_;
   // T_pib += S2T_{p(j-i)} S_pjb over the three-box neighbourhood; the p=0
   // table slice is the identity, performing the C_0 = I copy in the same
-  // sweep. Operator entries come from the precomputed Toeplitz table.
-  // Blocked over the flattened component-by-p dimension so the active
-  // slice of the Toeplitz table stays cache-resident across all boxes.
+  // sweep. Boxes are shared across the pool, each range swept by tiles.
   const index_t ml = prm_.ml;
-  constexpr index_t kPcw = 64;
-  // Boxes are independent targets: share them across the pool; within a
-  // worker's range, block pc so the active table slice stays cached. The
-  // inner pc stream is the shared SIMD mul-accumulate (this TU builds with
-  // contraction off, so it is bit-identical to the scalar reference loop).
   parallel_for(
       nb_leaf_,
       [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cp_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cp_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const T* sb = source_box(b) + pc0;
-            T* tb = target_box(b) + pc0;
-            for (index_t i = 0; i < ml; ++i) {
-              T* trow = tb + cp_ * i;
-              for (index_t j = -ml; j < 2 * ml; ++j)
-                simd::mul_add_stream(trow, s2t_tab_.data() + (j - i + 2 * ml - 1) * cp_ + pc0,
-                                     sb + cp_ * j, w);
-            }
-          }
-        }
+        s2t_sweep<typename simd::NativeVec<T>::vec_u, kS2tVecs>(
+            target_box(0), source_box(-1), s2t_tab_.data(), cp_, ml, b_lo, b_hi, 0);
       },
       /*grain=*/1);
+  const double wr = double(sizeof(T)) * double(cp_ * ml * nb_leaf_);
+  const double rd = double(sizeof(T)) * double(cp_ * ml * (nb_leaf_ + 2)) + wr;
   record_stage({"S2T", KernelClass::Custom,
-                2.0 * 3.0 * double(ml) * double(ml) * double(cp_) * double(nb_leaf_),
-                double(sizeof(T)) * (double(cp_ * ml * (nb_leaf_ + 2)) +
-                                     2.0 * double(cp_ * ml * nb_leaf_)),
-                1},
-               stage_timer_.seconds(),
-               double(sizeof(T)) *
-                   (double(cp_ * ml * (nb_leaf_ + 2)) + double(cp_ * ml * nb_leaf_)),
-               double(sizeof(T)) * double(cp_ * ml * nb_leaf_));
-}
-
-template <typename T>
-void Engine<T>::s2t_reference() {
-  // Pre-SIMD S2T: same blocking and per-element accumulation order, scalar
-  // inner loop. Identity oracle for s2t(); records no stats.
-  const index_t ml = prm_.ml;
-  constexpr index_t kPcw = 64;
-  parallel_for(
-      nb_leaf_,
-      [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cp_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cp_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const T* sb = source_box(b) + pc0;
-            T* tb = target_box(b) + pc0;
-            for (index_t i = 0; i < ml; ++i) {
-              T* trow = tb + cp_ * i;
-              for (index_t j = -ml; j < 2 * ml; ++j) {
-                const T* srow = sb + cp_ * j;
-                const T* tab = s2t_tab_.data() + (j - i + 2 * ml - 1) * cp_ + pc0;
-                for (index_t pc = 0; pc < w; ++pc) trow[pc] += tab[pc] * srow[pc];
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+                2.0 * 3.0 * double(ml) * double(ml) * double(cp_) * double(nb_leaf_), rd + wr, 1},
+               stage_timer_.seconds(), rd, wr);
 }
 
 template <typename T>

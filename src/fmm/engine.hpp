@@ -106,19 +106,17 @@ class Engine {
   index_t expansion_box_elems() const { return cpm_ * prm_.q; }
 
   // -- Stage execution (local compute; halos must be filled) ---------------
-  void zero();          ///< zero T, L^ℓ, M^B and copy the p=0 slice S -> T
+  void zero();          ///< zero T and every L^ℓ (S2T's identity p=0 slice copies S -> T)
   void s2m();
   void m2m(int level);  ///< build level from level+1 (level in [B, L-1])
   void s2t();
   void m2l_level(int level);  ///< cousin M2L at level in [B+1, L]
   void m2l_base();
 
-  // -- Reference kernels (identity oracles for the fused/SIMD paths) -------
-  // Same tensors, same per-element accumulation order, but the pre-fusion
-  // loop structure: scalar S2T inner loop, and one pass per M2L separation
-  // instead of the per-box fused sweep. Outputs must match the fast paths
-  // bit for bit. These record no stage stats.
-  void s2t_reference();
+  // -- Reference kernels (identity oracles for the fused M2L paths) --------
+  // Same tensors, same per-element accumulation order, but one pass per M2L
+  // separation instead of the per-box fused sweep. Outputs must match the
+  // fast paths bit for bit. These record no stage stats.
   void m2l_level_reference(int level);
   void m2l_base_reference();
   void reduce();

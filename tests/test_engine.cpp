@@ -12,6 +12,7 @@
 #include "core/reference.hpp"
 #include "fmm/engine.hpp"
 #include "fmm/operators.hpp"
+#include "kernel_oracles.hpp"
 
 namespace fmmfft::fmm {
 namespace {
@@ -212,14 +213,16 @@ TEST(Engine, StatsFlopFormulas) {
 }
 
 // -- Fused/SIMD kernel identity ----------------------------------------------
-// The vectorized, separation-fused S2T / M2L fast paths promise BIT-identical
-// outputs to the pre-fusion reference loops (same per-element accumulation
-// order). Two engines get identical tensor state — sources with halos,
-// every multipole level with halo boxes, the global base buffer — then one
-// runs the fast kernels and the other the references; every output tensor
-// must memcmp equal.
+// The register-tiled S2T and the separation-fused M2L fast paths promise
+// BIT-identical outputs to their oracles (same per-element accumulation
+// order): S2T to the scalar s2t_oracle, M2L to the engine's per-separation
+// reference passes. Two engines get identical tensor state — sources with
+// halos, every multipole level with halo boxes, the global base buffer —
+// then one runs the fast kernels and the other the oracles; every output
+// tensor must memcmp equal.
 
-void prime_pair(Engine<double>& ea, Engine<double>& eb) {
+template <typename T>
+void prime_pair(Engine<T>& ea, Engine<T>& eb) {
   const Params& prm = ea.params();
   const index_t se = ea.source_box_elems(), ee = ea.expansion_box_elems();
   for (index_t b = -1; b <= ea.local_leaves(); ++b) {
@@ -240,15 +243,22 @@ void prime_pair(Engine<double>& ea, Engine<double>& eb) {
   }
 }
 
-void expect_kernels_match(const Params& prm, index_t g, index_t rank) {
-  Engine<double> ea(prm, 2, g, rank), eb(prm, 2, g, rank);
-  prime_pair(ea, eb);
+/// Run S2T on `ea` and the scalar oracle on `eb` (identically primed).
+template <typename T>
+void expect_s2t_matches(Engine<T>& ea, Engine<T>& eb, index_t g, index_t rank) {
   ea.s2t();
-  eb.s2t_reference();
-  const std::size_t tbytes =
-      sizeof(double) * std::size_t(ea.source_box_elems() * ea.local_leaves());
+  s2t_oracle(eb);
+  const std::size_t tbytes = sizeof(T) * std::size_t(ea.source_box_elems() * ea.local_leaves());
   EXPECT_EQ(0, std::memcmp(ea.target_box(0), eb.target_box(0), tbytes))
-      << prm.to_string() << " g=" << g << " rank=" << rank << " (S2T)";
+      << ea.params().to_string() << " C=" << ea.components() << " g=" << g << " rank=" << rank
+      << " fp" << 8 * sizeof(T) << " (S2T)";
+}
+
+template <typename T = double>
+void expect_kernels_match(const Params& prm, index_t g, index_t rank, int components = 2) {
+  Engine<T> ea(prm, components, g, rank), eb(prm, components, g, rank);
+  prime_pair(ea, eb);
+  expect_s2t_matches(ea, eb, g, rank);
   for (int lev = prm.l(); lev > prm.b; --lev) {
     ea.m2l_level(lev);
     eb.m2l_level_reference(lev);
@@ -257,9 +267,19 @@ void expect_kernels_match(const Params& prm, index_t g, index_t rank) {
   eb.m2l_base_reference();
   for (int lev = prm.b; lev <= prm.l(); ++lev) {
     const std::size_t lbytes =
-        sizeof(double) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));
+        sizeof(T) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));
     EXPECT_EQ(0, std::memcmp(ea.local_box(lev, 0), eb.local_box(lev, 0), lbytes))
         << prm.to_string() << " g=" << g << " rank=" << rank << " (M2L level " << lev << ")";
+  }
+}
+
+/// S2T alone against the oracle, on every rank of a g-device split.
+template <typename T>
+void expect_s2t_matches_oracle(const Params& prm, int components, index_t g) {
+  for (index_t rank = 0; rank < g; ++rank) {
+    Engine<T> ea(prm, components, g, rank), eb(prm, components, g, rank);
+    prime_pair(ea, eb);
+    expect_s2t_matches(ea, eb, g, rank);
   }
 }
 
@@ -282,6 +302,45 @@ TEST(EngineKernelIdentity, BaseSeparationsBeyondLruCapacity) {
   // pin at once: m2l_base falls back to one pass per separation and must
   // still match the reference bit for bit.
   expect_kernels_match(Params{4096, 4, 2, 9, 4}, 1, 0);
+}
+
+TEST(EngineKernelIdentity, S2tMatchesOracleAcrossShapes) {
+  // M_L in {1, 2} runs only one-row tiles (the i-tail), 4 one full row
+  // tile, 64 the benchmark plan's sixteen. C·P = 64 fills whole wide pc
+  // chunks; C·P = 32 (fp32 on AVX-512) and C·P = 4 fall back to the
+  // one-vector and scalar chunks of the pc-tail.
+  for (const index_t ml : {index_t(1), index_t(2), index_t(4), index_t(64)})
+    for (const int c : {1, 2}) {
+      const Params prm{32 * ml * 16, 32, ml, 2, 8};
+      expect_s2t_matches_oracle<double>(prm, c, 1);
+      expect_s2t_matches_oracle<float>(prm, c, 1);
+    }
+  for (const index_t ml : {index_t(1), index_t(4), index_t(64)}) {
+    const Params narrow{4 * ml * 16, 4, ml, 2, 8};
+    expect_s2t_matches_oracle<double>(narrow, 1, 1);
+    expect_s2t_matches_oracle<float>(narrow, 1, 1);
+  }
+}
+
+TEST(EngineKernelIdentity, S2tMatchesOracleOnDeviceSlabs) {
+  // The benchmark plan's P = 32, M_L = 64 and the narrow C = 1, P = 4 pc
+  // tail, split over G devices: every rank's slab, halo boxes included.
+  const Params paper{index_t(32) * 64 * 8, 32, 64, 2, 8};
+  const Params narrow{index_t(4) * 4 * 16, 4, 4, 2, 8};
+  for (const index_t g : {index_t(1), index_t(2), index_t(4)})
+    for (const int c : {1, 2}) {
+      expect_s2t_matches_oracle<double>(paper, c, g);
+      expect_s2t_matches_oracle<float>(paper, c, g);
+      expect_s2t_matches_oracle<double>(narrow, c, g);
+      expect_s2t_matches_oracle<float>(narrow, c, g);
+    }
+}
+
+TEST(EngineKernelIdentity, FusedMatchesReferenceInFp32) {
+  // The mixed-precision translation pipeline runs Engine<float>: the fused
+  // kernels must match their oracles there too, for real and complex input.
+  expect_kernels_match<float>(Params{1 << 14, 64, 4, 2, 10}, 1, 0);
+  expect_kernels_match<float>(Params{1 << 14, 64, 4, 2, 10}, 1, 0, /*components=*/1);
 }
 
 TEST(Engine, RejectsInvalidConfigs) {

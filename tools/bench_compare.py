@@ -21,7 +21,10 @@ Two tracks, selected by the baseline's schema field:
   EXCEPTION: rows with metric "bytes" are the traffic ledger's measured
   algorithmic bytes moved — deterministic, machine-independent — and are
   hard-gated: a fresh run moving >10% more bytes than the baseline fails.
-  Refresh with:
+  EXCEPTION: rows named `*_oracle_ratio` (metric "ratio") are a production
+  kernel's same-process speedup over its scalar test oracle; both sides run
+  on the same host in the same process, so a value below 1 — the production
+  kernel losing to the oracle — fails. Refresh with:
 
       build/bench/bench_native BENCH_native.json
 
@@ -45,6 +48,8 @@ GATED_TRAFFIC = ["bytes", "comm_bytes"]
 # Bytes are algorithmic (deterministic), so the gate is tight and fixed —
 # independent of the wall-clock --tolerance.
 TRAFFIC_TOLERANCE = 0.10
+# Native rows holding a production kernel's speedup over its scalar oracle.
+ORACLE_RATIO_SUFFIX = "_oracle_ratio"
 # Sanity floor: the analyzer's critical path must stay a complete account.
 MIN_COVERAGE = 0.95
 
@@ -92,6 +97,11 @@ def compare_native(baseline_path, fresh_path):
                 f"({b['value']:.0f} -> {f['value']:.0f}, gate {TRAFFIC_TOLERANCE:.0%})")
     for name in fresh.keys() - base.keys():
         print(f"note: new bench {name} (not in baseline; commit a refresh to track it)")
+    # Same-process production/oracle pairs gate on the fresh run alone.
+    for name, f in sorted(fresh.items()):
+        if name.endswith(ORACLE_RATIO_SUFFIX) and f["value"] < 1.0:
+            failures.append(f"{name}: production kernel loses to its oracle "
+                            f"(speedup {f['value']:.2f}x < 1)")
 
     print_bytes_trend(base, fresh)
     print_precision_split(base, fresh)
