@@ -29,6 +29,7 @@
 #include "dist/collectives.hpp"
 #include "dist/dfft3d.hpp"
 #include "dist/dfmmfft.hpp"
+#include "dist_oracles.hpp"
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "fmm/engine.hpp"
@@ -177,7 +178,7 @@ void bench_a2a_grid(index_t m, index_t p, int g) {
 
 /// Standalone M2L / S2T kernel benches: the register-tiled S2T and the
 /// separation-fused M2L against their scalar oracles (tests/
-/// kernel_oracles.hpp, and the per-separation M2L reference passes), on
+/// kernel_oracles.hpp; M2L tables built outside the timed loop), on
 /// live engine state (sources loaded, multipole tree built, halos filled).
 /// Both paths produce bit-identical outputs; the delta here is pure kernel
 /// speed.
@@ -207,7 +208,8 @@ void bench_engine_kernels_typed(const std::string& suffix, bool with_ref) {
     sec = time_best([&] { eng.m2l_level(prm.l()); });
     record("fmm_m2l_leaf_n16" + suffix, "seconds", sec, sec);
     if (with_ref) {
-      sec = time_best([&] { eng.m2l_level_reference(prm.l()); });
+      const auto tabs = fmm::m2l_oracle_tables(eng, prm.l());
+      sec = time_best([&] { fmm::m2l_oracle(eng, prm.l(), tabs); });
       record("fmm_m2l_leaf_n16_ref", "seconds", sec, sec);
     }
     eng.reset_stats();
@@ -221,7 +223,8 @@ void bench_engine_kernels_typed(const std::string& suffix, bool with_ref) {
     double sec = time_best([&] { eng.m2l_base(); });
     record("fmm_m2l_base_bb64" + suffix, "seconds", sec, sec);
     if (with_ref) {
-      sec = time_best([&] { eng.m2l_base_reference(); });
+      const auto tabs = fmm::m2l_oracle_tables(eng, prm.b);
+      sec = time_best([&] { fmm::m2l_oracle(eng, prm.b, tabs); });
       record("fmm_m2l_base_bb64_ref", "seconds", sec, sec);
     }
     eng.reset_stats();
@@ -282,8 +285,8 @@ void bench_fmmfft_e2e() {
   record("fmmfft_e2e_n16_mixed_pool", "seconds", sec, sec);
 }
 
-/// Distributed end-to-end: the serial reference driver vs the async
-/// task-graph executor on the same DistFmmFft instance, g devices. Outputs
+/// Distributed end-to-end: the task graph drained inline (Serial) vs on
+/// the pool (Async) on the same DistFmmFft instance, g devices. Outputs
 /// must be byte-identical — the executor's whole point is reordering
 /// without renumbering. Returns false on a mismatch.
 bool bench_dist_e2e(int g, fmm::Precision prec = fmm::Precision::Fp64) {
@@ -483,7 +486,7 @@ int main(int argc, char** argv) {
 
   bench_fmmfft_e2e();
 
-  // Distributed e2e, serial driver vs async executor (overlap headroom
+  // Distributed e2e, inline vs pooled graph drain (overlap headroom
   // scales with hardware threads; byte-identity is checked regardless).
   for (int g : {2, 4})
     if (!bench_dist_e2e(g)) return 1;

@@ -155,7 +155,7 @@ Options parse(int argc, char** argv) {
     std::printf("--log2n must be in [10, 26] for native execution\n");
     std::exit(2);
   }
-  // --decomp/--grid route through the obs::env registry (like FMMFFT_EXEC):
+  // --decomp/--grid route through the obs::env registry:
   // validate here for an early diagnostic, then publish as the env knobs so
   // every Dist2dFft/Dist3dFft constructed below resolves them uniformly.
   try {

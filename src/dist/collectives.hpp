@@ -9,21 +9,20 @@
 // (peer-to-peer strided writes, the AccFFT fused-pack discipline). Each
 // element is read once and written once — no staging buffers, no extra
 // round trip — and the fabric records the payload via Fabric::record so
-// message accounting is identical to the staged path. The staged
-// pack/copy/unpack reference is kept below as the equivalence oracle.
+// message accounting is identical to a staged pack/copy/unpack path (whose
+// test oracle lives in tests/dist_oracles.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/permute.hpp"
 #include "common/threadpool.hpp"
 #include "common/types.hpp"
-#include "dist/procgrid.hpp"
 #include "sim/fabric.hpp"
 
 namespace fmmfft::dist {
@@ -35,7 +34,9 @@ namespace detail {
 /// out[rr][(r·mg + pm) + pp·m] = in[r][(rr·pg + pp) + pm·p] in one strided
 /// cache-oblivious pass. Records the gather side as a2a.pack (reads) and
 /// the scatter side as a2a.unpack (writes): one read + one write per
-/// element, half the staged path's four.
+/// element, half the staged path's four. Outside a pool chunk (an inline
+/// graph drain) row stripes of ≥ 2^12 elements split across the pool;
+/// they are disjoint pure copies, so the split cannot change bits.
 template <typename T>
 void a2a_pair_fused(const T* in_r, T* out_rr, int r, int rr, index_t m, index_t p,
                     index_t mg, index_t pg, index_t row_lo, index_t row_hi) {
@@ -46,8 +47,14 @@ void a2a_pair_fused(const T* in_r, T* out_rr, int r, int rr, index_t m, index_t 
   FMMFFT_TRAFFIC_RW("a2a.unpack", 0, payload, 0);
   // Element (pp, pm): src at (rr·pg + pp) + pm·p (pg×rows, ld p), dst at
   // (r·mg + pm) + pp·m — exactly a pg×rows strided transpose.
-  fmmfft::detail::transpose_strided_serial(in_r + rr * pg + row_lo * p, p,
-                                           out_rr + r * mg + row_lo, m, pg, rows);
+  const T* src = in_r + rr * pg + row_lo * p;
+  T* dst = out_rr + r * mg + row_lo;
+  parallel_for(
+      rows,
+      [&](index_t lo, index_t hi) {
+        fmmfft::detail::transpose_strided_serial(src + lo * p, p, dst + lo, m, pg, hi - lo);
+      },
+      /*grain=*/std::max<index_t>(1, (index_t(1) << 12) / pg));
 }
 
 /// Which exchange a pair message belongs to, for the traffic ledger: the
@@ -133,107 +140,6 @@ void all_to_all_permute_mp(sim::Fabric& fabric, const std::vector<T*>& in,
         }
       },
       /*grain=*/1);
-}
-
-/// Factorized two-phase Π_{M,P} over a pr×pc processor grid (the Dalcin /
-/// AccFFT pencil exchange): phase 1 exchanges within each grid *row*
-/// (pc-member sub-communicators, pc-1 messages of N/(G·pc) elements per
-/// device), phase 2 within each grid *column* (pr-member sub-communicators,
-/// pr-1 messages of N/(G·pr)). Sender (i,j) routes the block destined for
-/// (ii,jj) via the intermediate (i,jj); the row hop is a same-orientation
-/// copy into `work` and only the column hop transposes, so the result is
-/// bit-identical to the one-phase all_to_all_permute_mp. Each phase's pairs
-/// write disjoint blocks and stripe across the pool; the function returns
-/// only after both phases (implicit barrier between them). `work[t]` needs
-/// N/G elements per device and must be distinct from in/out.
-template <typename T>
-void all_to_all_permute_mp_grid(sim::Fabric& fabric, const std::vector<T*>& in,
-                                const std::vector<T*>& out, const std::vector<T*>& work,
-                                index_t m, index_t p, const ProcGrid& grid,
-                                const std::string& row_tag = "A2A-ROW",
-                                const std::string& col_tag = "A2A-COL") {
-  const int g = fabric.num_devices();
-  FMMFFT_CHECK((index_t)in.size() == g && (index_t)out.size() == g &&
-               (index_t)work.size() == g);
-  FMMFFT_CHECK(m % g == 0 && p % g == 0);
-  FMMFFT_CHECK(grid.devices() == g);
-  const int pr = grid.pr, pc = grid.pc;
-  const index_t mg = m / g, pg = p / g;
-  const index_t block = pg * mg;  // one (sender, final-receiver) pair's elements
-  FMMFFT_ASSERT(in[0] != out[0] && in[0] != work[0] && out[0] != work[0]);
-  const bool f32 = sizeof(real_of_t<T>) == 4;
-  // Phase 1 — row sub-communicators: sender s = (i,j) ships to t = (i,jj)
-  // the pr chunks of p destined for column jj, keeping p-fastest order.
-  // work[t] layout: [sender column j][final row ii][pm·pg + pp].
-  parallel_for(
-      index_t(g) * pc,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int s = int(q / pc), jj = int(q % pc);
-          const int i = grid.row_of(s), j = grid.col_of(s);
-          const int t = grid.device(i, jj);
-          detail::a2a_pair_copy_strided(
-              in[(std::size_t)s] + index_t(jj) * pg, work[(std::size_t)t] + index_t(j) * pr * block,
-              /*row_elems=*/pg, /*rows=*/mg, /*in_ld=*/p, /*out_ld=*/pg,
-              /*batch=*/index_t(pr), /*in_bstride=*/index_t(pc) * pg, /*out_bstride=*/block,
-              detail::A2aScope::Row);
-          fabric.record(s, t, double(pr) * double(block) * sizeof(T), row_tag, f32);
-        }
-      },
-      /*grain=*/1);
-  // Phase 2 — column sub-communicators: t = (i,jj) scatters batch ii of
-  // every sender column j into d = (ii,jj)'s final cyclic layout.
-  parallel_for(
-      index_t(g) * pr,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int t = int(q / pr), ii = int(q % pr);
-          const int i = grid.row_of(t), jj = grid.col_of(t);
-          const int d = grid.device(ii, jj);
-          detail::a2a_pair_fused_strided(
-              work[(std::size_t)t] + index_t(ii) * block, out[(std::size_t)d] + index_t(i) * pc * mg,
-              /*nr=*/pg, /*nc=*/mg, /*in_ld=*/pg, /*out_ld=*/m, /*batch=*/index_t(pc),
-              /*in_bstride=*/index_t(pr) * block, /*out_bstride=*/mg, detail::A2aScope::Col);
-          fabric.record(t, d, double(pc) * double(block) * sizeof(T), col_tag, f32);
-        }
-      },
-      /*grain=*/1);
-}
-
-/// Staged reference all-to-all: pack into a send buffer, fabric copy,
-/// unpack — the pre-fusion data path. Kept as the bit-identity oracle for
-/// the fused path (tests) and as the bench contrast. Staging lives in the
-/// calling thread's ScratchArena, so steady-state calls allocate nothing.
-template <typename T>
-void all_to_all_permute_mp_staged(sim::Fabric& fabric, const std::vector<T*>& in,
-                                  const std::vector<T*>& out, index_t m, index_t p,
-                                  const std::string& tag) {
-  const int g = fabric.num_devices();
-  FMMFFT_CHECK((index_t)in.size() == g && (index_t)out.size() == g);
-  FMMFFT_CHECK(m % g == 0 && p % g == 0);
-  const index_t mg = m / g, pg = p / g;
-  ScratchBlock<T> stage_src(mg * pg), stage_dst(mg * pg);
-  for (int r = 0; r < g; ++r) {        // sender: owns m-range [r*mg, ...)
-    for (int rr = 0; rr < g; ++rr) {   // receiver: owns p-range [rr*pg, ...)
-      // Pack elements (p, m) with p in rr's range from r's input slab.
-      // Input slab local index of global n = p + m*P is n - r*mg*p_total.
-      index_t k = 0;
-      FMMFFT_TRAFFIC_RW("a2a.pack", double(mg) * double(pg) * sizeof(T),
-                        double(mg) * double(pg) * sizeof(T), 0);
-      for (index_t pm = 0; pm < mg; ++pm)       // local m offset
-        for (index_t pp = 0; pp < pg; ++pp)     // local p offset
-          stage_src[k++] = in[(std::size_t)r][(rr * pg + pp) + pm * p];
-      fabric.send(r, rr, stage_src.data(), stage_dst.data(), mg * pg, tag);
-      // Unpack into rr's output slab: local index of j = m + p*M is
-      // j - rr*pg*m_total.
-      k = 0;
-      FMMFFT_TRAFFIC_RW("a2a.unpack", double(mg) * double(pg) * sizeof(T),
-                        double(mg) * double(pg) * sizeof(T), 0);
-      for (index_t pm = 0; pm < mg; ++pm)
-        for (index_t pp = 0; pp < pg; ++pp)
-          out[(std::size_t)rr][(r * mg + pm) + pp * m] = stage_dst[k++];
-    }
-  }
 }
 
 /// Cyclic ring halo exchange: every rank receives `halo_elems` elements

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "dist/collectives.hpp"
-#include "obs/health.hpp"
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
@@ -104,54 +103,12 @@ Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp,
 template <typename T>
 void Dist2dFft<T>::execute_slabs(const std::vector<std::complex<T>*>& slabs,
                                  sim::Fabric& fabric) {
-  // Per-device slab of the m×p grid decides Auto, as in DistFmmFft.
-  if (exec::resolve_mode(m_ * p_ / g_) == exec::Mode::Serial) {
-    execute_slabs_serial(slabs, fabric);
-    return;
-  }
   exec::DeviceLanes lanes(g_);
   exec::TaskGraph graph(lanes.count());
   graph.name_lanes(lanes);
   submit_slabs(graph, lanes, slabs, fabric);
-  graph.run();
-}
-
-template <typename T>
-void Dist2dFft<T>::execute_slabs_serial(const std::vector<std::complex<T>*>& slabs,
-                                        sim::Fabric& fabric) {
-  using Cx = std::complex<T>;
-  const index_t slab = m_ * p_ / g_;
-  obs::health::PhaseSource hb("dist.2dfft.serial");
-  // (a) M local FFTs of size P on the p-major data (M/G per device).
-  {
-    FMMFFT_SPAN("2DFFT-P");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft-p", r);
-      plan_p_.execute_batched(slabs[(std::size_t)r], m_ / g_, fft::Direction::Forward);
-    }
-  }
-  // (b) Π_{M,P} all-to-all — the FMM-FFT's single transpose, one-phase or
-  // factorized through the row/column sub-communicators.
-  hb.phase("a2a");
-  auto sc = ptrs(scratch_);
-  if (decomp_ == model::Decomp::Pencil) {
-    auto wk = ptrs(work_);
-    all_to_all_permute_mp_grid(fabric, slabs, sc, wk, m_, p_, grid_);
-  } else {
-    all_to_all_permute_mp(fabric, slabs, sc, m_, p_, "A2A-2D");
-  }
-  // (c) P local FFTs of size M (P/G per device).
-  {
-    FMMFFT_SPAN("2DFFT-M");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft-m", r);
-      plan_m_.execute_batched(sc[(std::size_t)r], p_ / g_, fft::Direction::Forward);
-    }
-  }
-  for (int r = 0; r < g_; ++r) {
-    hb.phase("writeback", r);
-    std::memcpy(slabs[(std::size_t)r], sc[(std::size_t)r], sizeof(Cx) * slab);
-  }
+  // The per-device slab of the m×p grid decides Auto, as in DistFmmFft.
+  graph.run(exec::resolve_mode(m_ * p_ / g_));
 }
 
 template <typename T>
@@ -163,48 +120,70 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   using Cx = std::complex<T>;
   FMMFFT_CHECK((index_t)slabs.size() == g_);
   FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
-  if (decomp_ == model::Decomp::Pencil)
-    return submit_slabs_pencil(graph, lanes, slabs, fabric, ready);
   const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
   // Same chunk granularity the simulated schedule pipelines with
   // (schedules.cpp chunk_count): enough chunks that a copy can start while
   // the remaining row FFTs still run, floored by the rows themselves.
   const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), mg);
-  const index_t step = (mg + nc - 1) / nc;
   auto sc = ptrs(scratch_);
 
-  // (a) Row FFTs, one task per chunk of contiguous p-major rows. Rows are
-  // independent lines, so chunks are unordered: order cannot change bits.
-  std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(mg, lo + step);
-      if (lo >= hi) break;
-      std::vector<exec::TaskId> deps;
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-      Cx* base = slabs[(std::size_t)r] + lo * p_;
-      const index_t rows = hi - lo;
-      fftp[(std::size_t)r].push_back(graph.submit(
-          "fftp d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-P");
-            plan_p_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          std::move(deps)));
-    }
+  // (a) Row FFTs, one task per chunk of contiguous p-major rows.
+  Exchange x;
+  x.fftp.resize((std::size_t)g_);
+  for (int r = 0; r < g_; ++r) {
+    std::vector<exec::TaskId> deps;
+    if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
+    x.fftp[(std::size_t)r] = detail::submit_line_ffts(
+        graph, lanes, r, "fftp", "2DFFT-P", plan_p_, slabs[(std::size_t)r], mg, 1, nc, deps);
+  }
 
-  // (b) The single all-to-all, chunk-pipelined and fused: for every
-  // (src, dst) pair and row chunk, one strided gather-scatter on src's
-  // compute lane writes the chunk straight into dst's scratch slab (the
-  // simulator's one-address-space twin of peer-to-peer strided writes) —
-  // no staging buffers, no memmove. The pair's link lane carries a record
-  // task accounting the payload, so lane structure and fabric bytes are
-  // unchanged from the staged path. A chunk's pack waits only on the row
-  // FFTs that produced its rows; chunks write disjoint dst regions, so
-  // they overlap freely.
-  std::vector<std::vector<exec::TaskId>> arrived((std::size_t)g_);
-  std::vector<std::vector<exec::TaskId>> packs_from((std::size_t)g_);
+  // (b) The Π_{M,P} all-to-all into the scratch slabs.
+  x.arrived.resize((std::size_t)g_);
+  x.readers.resize((std::size_t)g_);
+  const bool pencil = decomp_ == model::Decomp::Pencil;
+  if (pencil)
+    submit_pencil_exchange(graph, lanes, slabs, fabric, nc, x);
+  else
+    submit_slab_exchange(graph, lanes, slabs, fabric, nc, x);
+
+  // (c) Column FFTs per device once every fragment of its scratch slab has
+  // arrived (join meta-task), then the slab write-back — which must also
+  // wait for every pack that still reads this device's slab (WAR hazard).
+  std::vector<exec::TaskId> terminal((std::size_t)g_);
+  for (int r = 0; r < g_; ++r) {
+    const exec::TaskId join =
+        graph.submit((pencil ? "col-join d" : "a2a-join d") + std::to_string(r),
+                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
+                     x.arrived[(std::size_t)r]);
+    std::vector<exec::TaskId> deps = detail::submit_line_ffts(
+        graph, lanes, r, "fftm", "2DFFT-M", plan_m_, sc[(std::size_t)r], pg, 1, nc, {join});
+    deps.insert(deps.end(), x.readers[(std::size_t)r].begin(), x.readers[(std::size_t)r].end());
+    Cx* dst = slabs[(std::size_t)r];
+    const Cx* src = sc[(std::size_t)r];
+    terminal[(std::size_t)r] = graph.submit(
+        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
+        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
+        std::move(deps));
+  }
+  return terminal;
+}
+
+template <typename T>
+void Dist2dFft<T>::submit_slab_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                                        const std::vector<std::complex<T>*>& slabs,
+                                        sim::Fabric& fabric, index_t nc, Exchange& x) {
+  // The single all-to-all, chunk-pipelined and fused: for every (src, dst)
+  // pair and row chunk, one strided gather-scatter on src's compute lane
+  // writes the chunk straight into dst's scratch slab (the simulator's
+  // one-address-space twin of peer-to-peer strided writes) — no staging
+  // buffers, no memmove. The pair's link lane carries a record task
+  // accounting the payload, so lane structure and fabric bytes match a
+  // staged path. A chunk's pack waits only on the row FFTs that produced
+  // its rows; chunks write disjoint dst regions, so they overlap freely.
+  using Cx = std::complex<T>;
+  const index_t mg = m_ / g_, pg = p_ / g_;
+  const index_t step = (mg + nc - 1) / nc;
+  auto sc = ptrs(scratch_);
   for (int r = 0; r < g_; ++r) {
     for (int rr = 0; rr < g_; ++rr) {
       for (index_t c = 0; c < nc; ++c) {
@@ -220,7 +199,7 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
             [this, in, out, lo, hi, r, rr, mg, pg] {
               detail::a2a_pair_fused(in, out, r, rr, m_, p_, mg, pg, lo, hi);
             },
-            {fftp[(std::size_t)r][(std::size_t)c]});
+            {x.fftp[(std::size_t)r][(std::size_t)c]});
         const exec::TaskId copy = graph.submit(
             "copy" + sfx, {lanes.copy(r, rr), /*ordered=*/true, "a2a"},
             [&fabric, r, rr, cnt] {
@@ -228,90 +207,32 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
                             sizeof(real_of_t<Cx>) == 4);
             },
             {pack});
-        packs_from[(std::size_t)r].push_back(pack);
-        arrived[(std::size_t)rr].push_back(copy);
+        x.readers[(std::size_t)r].push_back(pack);
+        x.arrived[(std::size_t)rr].push_back(copy);
       }
     }
   }
-
-  // (c) Column FFTs per device once every fragment of its scratch slab has
-  // arrived (join meta-task), then the slab write-back — which must also
-  // wait for every pack that still reads this device's slab (WAR hazard).
-  std::vector<exec::TaskId> terminal((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    const exec::TaskId join =
-        graph.submit("a2a-join d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     arrived[(std::size_t)r]);
-    std::vector<exec::TaskId> fftm;
-    const index_t stepm = (pg + nc - 1) / nc;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * stepm, hi = std::min(pg, lo + stepm);
-      if (lo >= hi) break;
-      Cx* base = sc[(std::size_t)r] + lo * m_;
-      const index_t rows = hi - lo;
-      fftm.push_back(graph.submit(
-          "fftm d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-M");
-            plan_m_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    std::vector<exec::TaskId> deps = fftm;
-    deps.insert(deps.end(), packs_from[(std::size_t)r].begin(), packs_from[(std::size_t)r].end());
-    Cx* dst = slabs[(std::size_t)r];
-    const Cx* src = sc[(std::size_t)r];
-    terminal[(std::size_t)r] = graph.submit(
-        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
-        std::move(deps));
-  }
-  return terminal;
 }
 
 template <typename T>
-std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
-    exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-    const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-    const std::vector<exec::TaskId>& ready) {
+void Dist2dFft<T>::submit_pencil_exchange(exec::TaskGraph& graph,
+                                          const exec::DeviceLanes& lanes,
+                                          const std::vector<std::complex<T>*>& slabs,
+                                          sim::Fabric& fabric, index_t nc, Exchange& x) {
   using Cx = std::complex<T>;
   const int pr = grid_.pr, pc = grid_.pc;
-  const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
+  const index_t mg = m_ / g_, pg = p_ / g_;
   const index_t block = pg * mg;
-  const index_t nc = std::min<index_t>(std::max<index_t>(2, g_), mg);
   const index_t step = (mg + nc - 1) / nc;
   const bool f32 = sizeof(T) == 4;
   auto sc = ptrs(scratch_);
   auto wk = ptrs(work_);
 
-  // (a) Row FFT chunks, identical to the slab path.
-  std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
-  for (int r = 0; r < g_; ++r)
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(mg, lo + step);
-      if (lo >= hi) break;
-      std::vector<exec::TaskId> deps;
-      if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-      Cx* base = slabs[(std::size_t)r] + lo * p_;
-      const index_t rows = hi - lo;
-      fftp[(std::size_t)r].push_back(graph.submit(
-          "fftp d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-P");
-            plan_p_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          std::move(deps)));
-    }
-
-  // (b) Row phase: sender s = (i,j) ships the chunks destined for grid
-  // column jj to the intermediate t = (i,jj), same orientation (pure row
-  // copies into t's work buffer). A chunk waits only on the row FFT that
-  // produced its rows.
+  // Row phase: sender s = (i,j) ships the chunks destined for grid column
+  // jj to the intermediate t = (i,jj), same orientation (pure row copies
+  // into t's work buffer). A chunk waits only on the row FFT that produced
+  // its rows.
   std::vector<std::vector<exec::TaskId>> arrived_row((std::size_t)g_);
-  std::vector<std::vector<exec::TaskId>> packs_row_from((std::size_t)g_);
   for (int s = 0; s < g_; ++s) {
     const int i = grid_.row_of(s), j = grid_.col_of(s);
     for (int jj = 0; jj < pc; ++jj) {
@@ -333,8 +254,8 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
                                             /*in_bstride=*/index_t(pc) * pg,
                                             /*out_bstride=*/block, detail::A2aScope::Row);
             },
-            {fftp[(std::size_t)s][(std::size_t)c]});
-        packs_row_from[(std::size_t)s].push_back(pack);
+            {x.fftp[(std::size_t)s][(std::size_t)c]});
+        x.readers[(std::size_t)s].push_back(pack);
         arrived_row[(std::size_t)t].push_back(graph.submit(
             "row-copy" + sfx, {lanes.copy(s, t), /*ordered=*/true, "a2a"},
             [&fabric, s, t, rows, pg, pr, f32] {
@@ -346,8 +267,8 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
     }
   }
 
-  // (c) Column phase: the intermediate t = (i,jj) scatters batch ii of
-  // every sender column into d = (ii,jj)'s final cyclic layout (the only
+  // Column phase: the intermediate t = (i,jj) scatters batch ii of every
+  // sender column into d = (ii,jj)'s final cyclic layout (the only
   // transposing hop). It reads t's whole work buffer, so it waits on t's
   // row join; writes go to d's scratch slab, which nothing else touches.
   std::vector<exec::TaskId> row_join((std::size_t)g_);
@@ -356,7 +277,6 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
         graph.submit("row-join d" + std::to_string(t),
                      {lanes.compute(t), /*ordered=*/false, "sync"}, [] {},
                      arrived_row[(std::size_t)t]);
-  std::vector<std::vector<exec::TaskId>> arrived_col((std::size_t)g_);
   for (int t = 0; t < g_; ++t) {
     const int i = grid_.row_of(t), jj = grid_.col_of(t);
     for (int ii = 0; ii < pr; ++ii) {
@@ -373,7 +293,7 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
                                            /*out_bstride=*/mg, detail::A2aScope::Col);
           },
           {row_join[(std::size_t)t]});
-      arrived_col[(std::size_t)d].push_back(graph.submit(
+      x.arrived[(std::size_t)d].push_back(graph.submit(
           "col-copy" + sfx, {lanes.copy(t, d), /*ordered=*/true, "a2a"},
           [&fabric, t, d, pc, block, f32] {
             fabric.record(t, d, double(pc) * double(block) * sizeof(Cx), "A2A-COL", f32);
@@ -381,42 +301,6 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs_pencil(
           {pack}));
     }
   }
-
-  // (d) Column FFTs and write-back, as in the slab path: the write-back
-  // also waits for every row pack still reading this device's slab (WAR).
-  std::vector<exec::TaskId> terminal((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    const exec::TaskId join =
-        graph.submit("col-join d" + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     arrived_col[(std::size_t)r]);
-    std::vector<exec::TaskId> fftm;
-    const index_t stepm = (pg + nc - 1) / nc;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * stepm, hi = std::min(pg, lo + stepm);
-      if (lo >= hi) break;
-      Cx* base = sc[(std::size_t)r] + lo * m_;
-      const index_t rows = hi - lo;
-      fftm.push_back(graph.submit(
-          "fftm d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, rows] {
-            FMMFFT_SPAN("2DFFT-M");
-            plan_m_.execute_batched(base, rows, fft::Direction::Forward);
-          },
-          {join}));
-    }
-    std::vector<exec::TaskId> deps = fftm;
-    deps.insert(deps.end(), packs_row_from[(std::size_t)r].begin(),
-                packs_row_from[(std::size_t)r].end());
-    Cx* dst = slabs[(std::size_t)r];
-    const Cx* src = sc[(std::size_t)r];
-    terminal[(std::size_t)r] = graph.submit(
-        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
-        std::move(deps));
-  }
-  return terminal;
 }
 
 template <typename T>

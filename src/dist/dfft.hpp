@@ -12,19 +12,74 @@
 // inter-device traffic go through the fabric ledger.
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/threadpool.hpp"
 #include "common/types.hpp"
 #include "dist/decomp.hpp"
 #include "dist/procgrid.hpp"
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
+#include "obs/obs.hpp"
 #include "sim/fabric.hpp"
 
 namespace fmmfft::dist {
+
+namespace detail {
+
+/// Forward FFTs of `lines` contiguous lines at `data`. Outside a pool chunk
+/// (an inline graph drain) the lines split across the pool in stripes of
+/// ≥ 2^12 elements; inside one (a pooled drain) they run in place. Lines
+/// are independent, so the split cannot change bits.
+template <typename T>
+void forward_lines(const fft::Plan1D<T>& plan, std::complex<T>* data, index_t lines) {
+  const index_t n = plan.size();
+  parallel_for(
+      lines,
+      [&](index_t lo, index_t hi) {
+        plan.execute_batched(data + lo * n, hi - lo, fft::Direction::Forward);
+      },
+      /*grain=*/std::max<index_t>(1, (index_t(1) << 12) / n));
+}
+
+/// Submit `units` consecutive blocks of `unit_lines` independent FFT lines
+/// (contiguous, stride plan.size(), starting at `data`) as at most `nc`
+/// unordered chunk tasks on device `dev`'s compute lane, each waiting on
+/// `deps`. Tasks are labelled "<name> d<dev> c<chunk>", tagged stage "fft"
+/// and traced under `span`. Lines are independent, so chunk order cannot
+/// change bits. Returns the chunk tasks in chunk order.
+template <typename T>
+std::vector<exec::TaskId> submit_line_ffts(exec::TaskGraph& graph,
+                                           const exec::DeviceLanes& lanes, int dev,
+                                           const std::string& name, const char* span,
+                                           const fft::Plan1D<T>& plan, std::complex<T>* data,
+                                           index_t units, index_t unit_lines, index_t nc,
+                                           const std::vector<exec::TaskId>& deps) {
+  const index_t step = (units + nc - 1) / nc;
+  std::vector<exec::TaskId> ids;
+  for (index_t c = 0; c < nc; ++c) {
+    const index_t lo = c * step, hi = std::min(units, lo + step);
+    if (lo >= hi) break;
+    std::complex<T>* base = data + lo * unit_lines * plan.size();
+    const index_t lines = (hi - lo) * unit_lines;
+    ids.push_back(graph.submit(
+        name + " d" + std::to_string(dev) + " c" + std::to_string(c),
+        {lanes.compute(dev), /*ordered=*/false, "fft"},
+        [&plan, span, base, lines] {
+          FMMFFT_SPAN(span);
+          forward_lines(plan, base, lines);
+        },
+        deps));
+  }
+  return ids;
+}
+
+}  // namespace detail
 
 /// Baseline in-order distributed 1D FFT with three all-to-all transposes.
 template <typename T>
@@ -71,15 +126,17 @@ class Dist2dFft {
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
   /// In-place variant over externally owned per-device slabs of N/G
-  /// elements (used by the distributed FMM-FFT to avoid staging). Driver
-  /// choice via exec::resolve_mode on the per-device slab size: explicit
-  /// Serial/Async pass through, Auto (the default) applies the work floor.
+  /// elements. Submits the transform as one exec::TaskGraph and drains it
+  /// as exec::resolve_mode picks on the per-device slab size: inline
+  /// (Serial) or on the pool (Async), bit-identical either way.
   void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
 
-  /// Async building block: submit the whole 2D FFT as tasks on `graph` —
-  /// per-device row-FFT chunks, per-(pair,chunk) pack→copy→unpack for the
-  /// single all-to-all, then column-FFT chunks — so copies overlap
-  /// neighbouring FFT chunks exactly as dist::fft_schedule models.
+  /// The transform's one description: submit the whole 2D FFT as tasks on
+  /// `graph` (the distributed FMM-FFT appends it to its own graph) —
+  /// per-device row-FFT chunks, per-(pair, chunk) fused pack + copy-record
+  /// tasks for the exchange (one phase for slab, row then column phase for
+  /// pencil), then column-FFT chunks — so copies overlap neighbouring FFT
+  /// chunks exactly as dist::fft_schedule models.
   /// `ready[r]` (optional) gates device r's first task; returns the
   /// per-device terminal task (slab writes complete when it finishes).
   std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
@@ -94,12 +151,20 @@ class Dist2dFft {
   const model::DecompDecision& decision() const { return decision_; }
 
  private:
-  void execute_slabs_serial(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
-  std::vector<exec::TaskId> submit_slabs_pencil(exec::TaskGraph& graph,
-                                                const exec::DeviceLanes& lanes,
-                                                const std::vector<std::complex<T>*>& slabs,
-                                                sim::Fabric& fabric,
-                                                const std::vector<exec::TaskId>& ready);
+  /// Task ids threaded through submit_slabs: the row-FFT chunks that feed
+  /// the exchange (per device, in chunk order), and what the exchange
+  /// submits per device — the copies writing its scratch slab (`arrived`)
+  /// and the packs still reading its input slab (`readers`, the
+  /// write-back's WAR gate).
+  struct Exchange {
+    std::vector<std::vector<exec::TaskId>> fftp, arrived, readers;
+  };
+  void submit_slab_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                            const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
+                            index_t nc, Exchange& x);
+  void submit_pencil_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
+                              const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
+                              index_t nc, Exchange& x);
 
   index_t m_, p_;
   int g_;

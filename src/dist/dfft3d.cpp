@@ -5,8 +5,9 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "common/permute.hpp"
 #include "dist/collectives.hpp"
-#include "obs/health.hpp"
+#include "dist/dfft.hpp"
 #include "obs/obs.hpp"
 
 namespace fmmfft::dist {
@@ -89,128 +90,7 @@ void Dist3dFft<T>::gather(std::complex<T>* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serial paths.
-
-template <typename T>
-void Dist3dFft<T>::execute_slab_serial() {
-  obs::health::PhaseSource hb("dist.3dfft.slab");
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
-  const index_t n2g = n2_ / g_, plane = n0_ * n1_;
-  {
-    FMMFFT_SPAN("3DFFT-0");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft0", r);
-      plan0_.execute_batched(a[(std::size_t)r], n1_ * n2g, fft::Direction::Forward);
-    }
-  }
-  {
-    // Local reorientation to i1-fastest, one plane at a time.
-    FMMFFT_SPAN("3DFFT-T01");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("transpose", r);
-      for (index_t t = 0; t < n2g; ++t)
-        transpose_blocked(a[(std::size_t)r] + t * plane, b[(std::size_t)r] + t * plane, n0_, n1_);
-    }
-  }
-  {
-    FMMFFT_SPAN("3DFFT-1");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft1", r);
-      plan1_.execute_batched(b[(std::size_t)r], n0_ * n2g, fft::Direction::Forward);
-    }
-  }
-  // The one G-wide exchange: Π_{M=n2, P=n0·n1} on the μ = i1 + n1·i0 index.
-  hb.phase("a2a");
-  all_to_all_permute_mp(fabric_, b, a, n2_, plane, "A2A-3D");
-  {
-    FMMFFT_SPAN("3DFFT-2");
-    for (int r = 0; r < g_; ++r) {
-      hb.phase("fft2", r);
-      plan2_.execute_batched(a[(std::size_t)r], plane / g_, fft::Direction::Forward);
-    }
-  }
-}
-
-template <typename T>
-void Dist3dFft<T>::execute_pencil_serial() {
-  using Cx = std::complex<T>;
-  obs::health::PhaseSource hb("dist.3dfft.pencil");
-  auto a = ptrs(buf_a_);
-  auto b = ptrs(buf_b_);
-  const int pr = grid_.pr, pc = grid_.pc;
-  const index_t n0pc = n0_ / pc, n1pc = n1_ / pc, n1pr = n1_ / pr, n2pr = n2_ / pr;
-  const bool f32 = sizeof(T) == 4;
-  {
-    FMMFFT_SPAN("3DFFT-0");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft0", d);
-      plan0_.execute_batched(a[(std::size_t)d], n1pc * n2pr, fft::Direction::Forward);
-    }
-  }
-  // Row sub-communicator exchange: x-pencils → y-pencils within each grid
-  // row. Pair (i,j) → (i,jj) ships i0-block jj for every local (i1, i2):
-  // per i2 plane this is exactly the Π_{n1,n0} fused pair message.
-  hb.phase("a2a-row");
-  parallel_for(
-      index_t(g_) * pc,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int s = int(q / pc), jj = int(q % pc);
-          const int i = grid_.row_of(s), j = grid_.col_of(s);
-          const int t = grid_.device(i, jj);
-          detail::a2a_pair_fused_strided(a[(std::size_t)s] + index_t(jj) * n0pc,
-                                         b[(std::size_t)t] + index_t(j) * n1pc,
-                                         /*nr=*/n0pc, /*nc=*/n1pc, /*in_ld=*/n0_,
-                                         /*out_ld=*/n1_, /*batch=*/n2pr,
-                                         /*in_bstride=*/n0_ * n1pc,
-                                         /*out_bstride=*/n1_ * n0pc, detail::A2aScope::Row);
-          fabric_.record(s, t, double(n2pr) * double(n0pc) * double(n1pc) * sizeof(Cx),
-                         "A2A-ROW", f32);
-        }
-      },
-      /*grain=*/1);
-  {
-    FMMFFT_SPAN("3DFFT-1");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft1", d);
-      plan1_.execute_batched(b[(std::size_t)d], n0pc * n2pr, fft::Direction::Forward);
-    }
-  }
-  // Column sub-communicator exchange: y-pencils → z-pencils within each
-  // grid column. Pair (i,jj) → (ii,jj) ships i1-block ii for every local
-  // (i0, i2), transposing (i1, i2) per i0 line.
-  hb.phase("a2a-col");
-  parallel_for(
-      index_t(g_) * pr,
-      [&](index_t q0, index_t q1) {
-        for (index_t q = q0; q < q1; ++q) {
-          const int t = int(q / pr), ii = int(q % pr);
-          const int i = grid_.row_of(t);
-          const int jj = grid_.col_of(t);
-          const int d = grid_.device(ii, jj);
-          detail::a2a_pair_fused_strided(b[(std::size_t)t] + index_t(ii) * n1pr,
-                                         a[(std::size_t)d] + index_t(i) * n2pr,
-                                         /*nr=*/n1pr, /*nc=*/n2pr, /*in_ld=*/n1_ * n0pc,
-                                         /*out_ld=*/n2_, /*batch=*/n0pc,
-                                         /*in_bstride=*/n1_,
-                                         /*out_bstride=*/n2_ * n1pr, detail::A2aScope::Col);
-          fabric_.record(t, d, double(n0pc) * double(n1pr) * double(n2pr) * sizeof(Cx),
-                         "A2A-COL", f32);
-        }
-      },
-      /*grain=*/1);
-  {
-    FMMFFT_SPAN("3DFFT-2");
-    for (int d = 0; d < g_; ++d) {
-      hb.phase("fft2", d);
-      plan2_.execute_batched(a[(std::size_t)d], n0pc * n1pr, fft::Direction::Forward);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Async submission.
+// Task-graph submission.
 
 template <typename T>
 std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
@@ -237,7 +117,7 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
           {lanes.compute(r), /*ordered=*/false, "fft"},
           [this, ap, planes] {
             FMMFFT_SPAN("3DFFT-0");
-            plan0_.execute_batched(ap, planes * n1_, fft::Direction::Forward);
+            detail::forward_lines(plan0_, ap, planes * n1_);
           },
           {});
       const exec::TaskId tr = graph.submit(
@@ -245,13 +125,8 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
           {lanes.compute(r), /*ordered=*/false, "transpose"},
           [this, ap, bp, planes, plane] {
             FMMFFT_SPAN("3DFFT-T01");
-            // Same per-plane traffic records as the serial transpose_blocked.
-            for (index_t t = 0; t < planes; ++t) {
-              FMMFFT_TRAFFIC_RW("transpose", double(plane) * sizeof(Cx),
-                                double(plane) * sizeof(Cx), 0);
-              fmmfft::detail::transpose_strided_serial(ap + t * plane, n0_, bp + t * plane,
-                                                       n1_, n0_, n1_);
-            }
+            for (index_t t = 0; t < planes; ++t)
+              transpose_blocked(ap + t * plane, bp + t * plane, n0_, n1_);
           },
           {f0});
       trans[(std::size_t)r].push_back(tr);
@@ -260,7 +135,7 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
           {lanes.compute(r), /*ordered=*/false, "fft"},
           [this, bp, planes] {
             FMMFFT_SPAN("3DFFT-1");
-            plan1_.execute_batched(bp, planes * n0_, fft::Direction::Forward);
+            detail::forward_lines(plan1_, bp, planes * n0_);
           },
           {tr}));
     }
@@ -310,22 +185,8 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_slab(exec::TaskGraph& graph,
         graph.submit("a2a-join d" + std::to_string(r),
                      {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
                      arrived[(std::size_t)r]);
-    std::vector<exec::TaskId> fft2;
-    const index_t step2 = (pg01 + nc - 1) / nc;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step2, hi = std::min(pg01, lo + step2);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)r] + lo * n2_;
-      const index_t lines = hi - lo;
-      fft2.push_back(graph.submit(
-          "fft2 d" + std::to_string(r) + " c" + std::to_string(c),
-          {lanes.compute(r), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-2");
-            plan2_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {join}));
-    }
+    std::vector<exec::TaskId> fft2 = detail::submit_line_ffts(
+        graph, lanes, r, "fft2", "3DFFT-2", plan2_, a[(std::size_t)r], pg01, 1, nc, {join});
     terminal[(std::size_t)r] =
         graph.submit("done d" + std::to_string(r),
                      {lanes.compute(r), /*ordered=*/false, "sync"}, [] {}, std::move(fft2));
@@ -345,23 +206,11 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
   const index_t step = (n2pr + nc - 1) / nc;
   const bool f32 = sizeof(T) == 4;
 
-  // (a) fft0 chunks over local i2 planes of the x-pencils.
+  // (a) fft0 chunks over local i2 planes (n1pc lines each) of the x-pencils.
   std::vector<std::vector<exec::TaskId>> fft0((std::size_t)g_);
   for (int d = 0; d < g_; ++d)
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step, hi = std::min(n2pr, lo + step);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)d] + lo * n0_ * n1pc;
-      const index_t planes = hi - lo;
-      fft0[(std::size_t)d].push_back(graph.submit(
-          "fft0 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, planes, n1pc] {
-            FMMFFT_SPAN("3DFFT-0");
-            plan0_.execute_batched(base, planes * n1pc, fft::Direction::Forward);
-          },
-          {}));
-    }
+    fft0[(std::size_t)d] = detail::submit_line_ffts(graph, lanes, d, "fft0", "3DFFT-0", plan0_,
+                                                    a[(std::size_t)d], n2pr, n1pc, nc, {});
 
   // (b) Row-phase packs, chunked over the same i2 planes so a pair's first
   // chunks ship while the sender's remaining fft0 chunks still run.
@@ -404,28 +253,14 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
   // (c) fft1 chunks on the y-pencils once every row fragment arrived, plus
   // the WAR gate for the column phase scattering back into the A buffers.
   std::vector<exec::TaskId> fft1_join((std::size_t)g_), war((std::size_t)g_);
-  const index_t lines1 = n0pc * n2pr;
-  const index_t step1 = (lines1 + nc - 1) / nc;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId row_join =
         graph.submit("row-join d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
                      arrived_row[(std::size_t)d]);
-    std::vector<exec::TaskId> fft1;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step1, hi = std::min(lines1, lo + step1);
-      if (lo >= hi) break;
-      Cx* base = b[(std::size_t)d] + lo * n1_;
-      const index_t lines = hi - lo;
-      fft1.push_back(graph.submit(
-          "fft1 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-1");
-            plan1_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {row_join}));
-    }
+    std::vector<exec::TaskId> fft1 = detail::submit_line_ffts(
+        graph, lanes, d, "fft1", "3DFFT-1", plan1_, b[(std::size_t)d], n0pc * n2pr, 1, nc,
+        {row_join});
     fft1_join[(std::size_t)d] =
         graph.submit("fft1-join d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {}, std::move(fft1));
@@ -466,28 +301,14 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 
   // (e) fft2 chunks on the z-pencils.
   std::vector<exec::TaskId> terminal((std::size_t)g_);
-  const index_t lines2 = n0pc * n1pr;
-  const index_t step2 = (lines2 + nc - 1) / nc;
   for (int d = 0; d < g_; ++d) {
     const exec::TaskId join =
         graph.submit("col-join d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {},
                      arrived_col[(std::size_t)d]);
-    std::vector<exec::TaskId> fft2;
-    for (index_t c = 0; c < nc; ++c) {
-      const index_t lo = c * step2, hi = std::min(lines2, lo + step2);
-      if (lo >= hi) break;
-      Cx* base = a[(std::size_t)d] + lo * n2_;
-      const index_t lines = hi - lo;
-      fft2.push_back(graph.submit(
-          "fft2 d" + std::to_string(d) + " c" + std::to_string(c),
-          {lanes.compute(d), /*ordered=*/false, "fft"},
-          [this, base, lines] {
-            FMMFFT_SPAN("3DFFT-2");
-            plan2_.execute_batched(base, lines, fft::Direction::Forward);
-          },
-          {join}));
-    }
+    std::vector<exec::TaskId> fft2 = detail::submit_line_ffts(
+        graph, lanes, d, "fft2", "3DFFT-2", plan2_, a[(std::size_t)d], n0pc * n1pr, 1, nc,
+        {join});
     terminal[(std::size_t)d] =
         graph.submit("done d" + std::to_string(d),
                      {lanes.compute(d), /*ordered=*/false, "sync"}, [] {}, std::move(fft2));
@@ -498,21 +319,14 @@ std::vector<exec::TaskId> Dist3dFft<T>::submit_pencil(exec::TaskGraph& graph,
 template <typename T>
 void Dist3dFft<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   scatter(in);
-  if (exec::resolve_mode(n0_ * n1_ * n2_ / g_) == exec::Mode::Serial) {
-    if (decomp_ == model::Decomp::Slab)
-      execute_slab_serial();
-    else
-      execute_pencil_serial();
-  } else {
-    exec::DeviceLanes lanes(g_);
-    exec::TaskGraph graph(lanes.count());
-    graph.name_lanes(lanes);
-    if (decomp_ == model::Decomp::Slab)
-      submit_slab(graph, lanes);
-    else
-      submit_pencil(graph, lanes);
-    graph.run();
-  }
+  exec::DeviceLanes lanes(g_);
+  exec::TaskGraph graph(lanes.count());
+  graph.name_lanes(lanes);
+  if (decomp_ == model::Decomp::Slab)
+    submit_slab(graph, lanes);
+  else
+    submit_pencil(graph, lanes);
+  graph.run(exec::resolve_mode(n0_ * n1_ * n2_ / g_));
   gather(out);
 }
 

@@ -2,10 +2,11 @@
 //
 // Each device runs one fmm::Engine on its slab of leaf boxes; the halo
 // exchanges (COMM S, COMM Mℓ), the base-level allgather (COMM M_B) and the
-// 2D FFT's single all-to-all go through the fabric ledger. Numerical
-// results are exact (identical to the single-node pipeline up to floating
-// point associativity); timing comes from the schedule in
-// dist/schedules.hpp simulated under an architecture model.
+// 2D FFT's single all-to-all go through the fabric ledger. The whole
+// algorithm is one exec::TaskGraph submission (execute_t), the only
+// description of the distributed pipeline. Numerical results are
+// bit-identical to the single-node core::FmmFft; timing comes from the
+// schedule in dist/schedules.hpp simulated under an architecture model.
 #pragma once
 
 #include <complex>
@@ -39,12 +40,11 @@ class DistFmmFft {
   int num_devices() const { return g_; }
   fmm::Precision precision() const { return prec_; }
 
-  /// Host-staged execute: out = F_N · in, both length N. Driver choice via
-  /// exec::resolve_mode on the per-device slab size (N/G): explicit
-  /// Serial/Async (FMMFFT_EXEC or exec::ScopedMode) pass through, Auto —
-  /// the default — picks Serial below the work floor where the graph's
-  /// overhead outweighs overlap. Both paths produce bit-identical output
-  /// at any worker count.
+  /// Host-staged execute: out = F_N · in, both length N. Algorithm 1 runs
+  /// as one exec::TaskGraph, drained as exec::resolve_mode picks on the
+  /// per-device slab size (N/G): inline (Serial) or on the pool (Async).
+  /// Output is bit-identical either way, at any worker count, and to
+  /// core::FmmFft on one device.
   void execute(const InT* in, Out* out);
 
   const sim::Fabric& fabric() const { return fabric_; }
@@ -71,19 +71,11 @@ class DistFmmFft {
       return engines32_;
   }
   template <typename ER>
-  void execute_serial_t(const InT* in, Out* out);
-  template <typename ER>
-  void execute_async_t(const InT* in, Out* out);
+  void execute_t(const InT* in, Out* out);
   /// POST for device r (§4.9 line 15): one pass from the engine's T tensor
   /// into the 2D-FFT slab, widening to the shell precision on load.
   template <typename ER>
   void post_slab_t(int r);
-  template <typename ER>
-  void exchange_source_halos_t();
-  template <typename ER>
-  void exchange_multipole_halos_t(int level);
-  template <typename ER>
-  void allgather_base_t();
 
   fmm::Params prm_;
   int g_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -21,7 +20,7 @@ std::uint64_t now_ns() {
 }
 
 Mode& tl_mode() {
-  thread_local Mode m = default_mode();
+  thread_local Mode m = Mode::Auto;
   return m;
 }
 
@@ -47,36 +46,14 @@ void inject_stall(TaskId id, int ms) {
   g_stall_task.store(id, std::memory_order_relaxed);
 }
 
-Mode default_mode() {
-  static const Mode m = [] {
-    const char* v = obs::env::get("FMMFFT_EXEC");
-    if (v && std::strcmp(v, "serial") == 0) return Mode::Serial;
-    if (v && std::strcmp(v, "async") == 0) return Mode::Async;
-    return Mode::Auto;
-  }();
-  return m;
-}
-
 Mode mode() { return tl_mode(); }
-
-index_t auto_work_floor() {
-  static const index_t f = [] {
-    if (const char* v = obs::env::get("FMMFFT_EXEC_FLOOR")) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (end != v && parsed >= 0) return static_cast<index_t>(parsed);
-    }
-    return index_t(65536);
-  }();
-  return f;
-}
 
 Mode resolve_mode(index_t per_device_elems) {
   const Mode m = mode();
   if (m != Mode::Auto) return m;
-  const index_t floor = auto_work_floor();
-  if (obs::metrics_enabled()) obs::Metrics::global().gauge("exec.auto.floor").set(double(floor));
-  if (per_device_elems < floor) {
+  if (obs::metrics_enabled())
+    obs::Metrics::global().gauge("exec.auto.floor").set(double(kAutoWorkFloor));
+  if (per_device_elems < kAutoWorkFloor) {
     FMMFFT_COUNT("exec.auto.serial", 1);
     return Mode::Serial;
   }
@@ -192,7 +169,11 @@ void TaskGraph::worker_loop() {
   }
 }
 
-void TaskGraph::run(ThreadPool& pool) {
+void TaskGraph::run(ThreadPool& pool) { drain(&pool); }
+
+void TaskGraph::run(Mode m) { drain(m == Mode::Serial ? nullptr : &ThreadPool::global()); }
+
+void TaskGraph::drain(ThreadPool* pool) {
   FMMFFT_CHECK_MSG(!ran_, "TaskGraph::run may be called once");
   ran_ = true;
   if (tasks_.empty()) return;
@@ -224,13 +205,19 @@ void TaskGraph::run(ThreadPool& pool) {
     obs::health::Source* src = nullptr;
   } guard(this);
 
-  const index_t workers =
-      std::min<index_t>(pool.workers(), static_cast<index_t>(tasks_.size()));
-  // Each chunk is one graph-drain worker; the pool's chunk dispatch hands
-  // every chunk to a distinct thread when enough workers are idle, and
-  // degrades to a single inline drain when nested or single-threaded.
-  const std::function<void(index_t)> drain = [this](index_t) { worker_loop(); };
-  pool.run_chunks(workers, drain);
+  if (pool) {
+    const index_t workers =
+        std::min<index_t>(pool->workers(), static_cast<index_t>(tasks_.size()));
+    // Each chunk is one graph-drain worker; the pool's chunk dispatch hands
+    // every chunk to a distinct thread when enough workers are idle, and
+    // degrades to a single inline drain when nested or single-threaded.
+    const std::function<void(index_t)> drainer = [this](index_t) { worker_loop(); };
+    pool->run_chunks(workers, drainer);
+  } else {
+    // One drainer: with no other thread to wait on, the ready queue is
+    // never empty while tasks remain (submission order is topological).
+    worker_loop();
+  }
   FMMFFT_FLIGHT(GraphEnd, done_, 0, error_ ? "failed" : "ok");
   if (error_) {
     // Forensic dump before the rethrow unwinds the graph (gated on the

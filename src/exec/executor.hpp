@@ -1,4 +1,4 @@
-// Dependency-driven async task executor for the native distributed drivers.
+// Dependency-driven task executor for the native distributed drivers.
 //
 // The native twin of sim::Schedule: where the simulator *models* a
 // multi-device execution as ops with dependency edges timed under an
@@ -6,32 +6,34 @@
 // Tasks bind to lanes — per-device ordered queues that serialize like CUDA
 // streams (DeviceLanes numbers one compute lane per device plus one copy
 // lane per directed device pair, mirroring the simulator's resources) — and
-// carry explicit cross-lane dependency edges. run() drains every ready task
-// on the existing fmmfft::ThreadPool, so device compute overlaps fabric
-// copies exactly where the schedule builders (dist/schedules.cpp) model
-// overlap.
+// carry explicit cross-lane dependency edges. Each distributed algorithm
+// (DistFmmFft, Dist2dFft, Dist3dFft) is written once, as a graph
+// submission; the graph is then drained one of two ways:
+//  * pooled (run): one drain per pool worker, so device compute overlaps
+//    fabric copies exactly where the schedule builders
+//    (dist/schedules.cpp) model overlap;
+//  * inline (run(Mode::Serial)): one drain on the calling thread, tasks in
+//    ready-queue order. Task bodies are not pool chunks there, so the
+//    kernels' own parallel_for still fans out across the pool.
 //
 // Determinism / bit-identity argument:
 //  * tasks submitted `ordered` on the same lane execute in submission
-//    order, one at a time — the per-device arithmetic order is exactly the
-//    serial driver's;
+//    order, one at a time — each device's arithmetic order is the
+//    submission order under either drain;
 //  * `unordered` tasks are used only for data-parallel work on disjoint
 //    ranges (independent FFT lines, pack/unpack of disjoint chunks), whose
 //    results do not depend on execution order;
-//  * task bodies run inside ThreadPool chunks, so nested parallel_for calls
-//    degrade to inline loops (ThreadPool::in_task()).
-// Outputs are therefore bit-identical to the serial driver at any worker
-// count; tests/test_exec.cpp enforces this byte-for-byte.
+//  * kernels split work with parallel_for only over independent outputs,
+//    so running a body inline or fanned out cannot change its bits.
+// Outputs are therefore bit-identical between the two drains at any worker
+// count (tests/test_exec.cpp) and to the single-device references
+// (core::FmmFft, fft::Plan1D/Plan3D; tests/test_dist*.cpp).
 //
-// Mode selection: FMMFFT_EXEC=serial keeps the old strictly-serial driver
-// loops for A/B measurement (bench_native's distributed e2e track),
-// FMMFFT_EXEC=async forces the executor, and the default (auto) picks per
-// driver call: below a per-device work floor (FMMFFT_EXEC_FLOOR elements)
-// the graph's submit/run overhead outweighs the overlap, so Auto resolves
-// to Serial; at or above it, to Async. Either way the outputs are
-// bit-identical — the mode only chooses *when* overlap is worth it.
-// ScopedMode overrides the mode on the current thread for in-process A/B
-// comparisons.
+// Mode selection: Mode::Serial drains inline, Mode::Async on the pool, and
+// the default Auto picks per driver call: below kAutoWorkFloor elements per
+// device the pooled drain's wake-ups outweigh the overlap, so Auto resolves
+// to Serial; at or above it, to Async. ScopedMode overrides the mode on the
+// current thread for in-process A/B comparisons.
 #pragma once
 
 #include <atomic>
@@ -59,23 +61,20 @@ void inject_stall(TaskId id, int ms);
 
 enum class Mode { Serial, Async, Auto };
 
-/// Process default from FMMFFT_EXEC ("serial" -> Serial, "async" -> Async;
-/// default Auto).
-Mode default_mode();
-/// Mode in effect on the calling thread (default_mode unless overridden).
+/// Mode in effect on the calling thread (Auto unless a ScopedMode overrides).
 Mode mode();
 
 /// Per-device work floor (tensor elements) below which Auto resolves to
-/// Serial. FMMFFT_EXEC_FLOOR overrides the default of 65536 (chosen from
-/// BENCH_native: the g=4 slab of an N=2^16 transform, 16384 elements, runs
-/// ~7% slower through the task graph than through the serial loops).
-index_t auto_work_floor();
+/// Serial. Chosen from BENCH_native's DistFmmFft rows: on the g=4 slab of
+/// an N=2^16 transform, 16384 elements, the pooled graph measured ~7%
+/// slower than a strictly serial run.
+inline constexpr index_t kAutoWorkFloor = 65536;
 
 /// Resolve the effective mode for one driver execution whose per-device
 /// working set is `per_device_elems` tensor elements. Serial/Async pass
-/// through; Auto applies the work floor. The decision lands in the metrics
+/// through; Auto applies kAutoWorkFloor. The decision lands in the metrics
 /// JSON (exec.auto.serial / exec.auto.async counters, exec.auto.floor
-/// gauge) so runs record which path executed.
+/// gauge) so runs record which drain executed.
 Mode resolve_mode(index_t per_device_elems);
 
 /// RAII thread-local mode override for in-process A/B comparisons.
@@ -134,6 +133,12 @@ class TaskGraph : public obs::health::Source {
   /// (or the graph was cancelled by a failure). The first task exception is
   /// rethrown; tasks not yet started when a failure hits never run.
   void run(ThreadPool& pool = ThreadPool::global());
+  /// Drain as a resolved mode selects: Mode::Serial runs the whole graph
+  /// inline on the calling thread, tasks in ready-queue (a topological)
+  /// order; any other mode drains on the global pool. Records, watchdog
+  /// registration, failure and postmortem behaviour are the same either
+  /// way. Drivers pass resolve_mode(per-device elements).
+  void run(Mode m);
 
   int size() const { return static_cast<int>(tasks_.size()); }
   int lanes() const { return static_cast<int>(lane_tail_.size()); }
@@ -166,6 +171,8 @@ class TaskGraph : public obs::health::Source {
   };
 
   void worker_loop();
+  /// Shared body of both runs: `pool` null drains inline.
+  void drain(ThreadPool* pool);
 
   std::vector<Task> tasks_;
   std::vector<TaskRecord> records_;

@@ -363,7 +363,8 @@ void Engine<T>::m2l_level(int level) {
   // rows are streamed once instead of once per separation. Per L element the
   // additions still run separation-major (ascending, the level_separations
   // order restricted to this parity), j-minor — exactly the order of the
-  // per-separation reference passes, so results are bit-identical.
+  // per-separation oracle passes (tests/kernel_oracles.hpp), so results
+  // are bit-identical.
   parallel_for(
       nbl,
       [&](index_t b_lo, index_t b_hi) {
@@ -426,8 +427,8 @@ void Engine<T>::m2l_base() {
     // and thrash once their combined footprint exceeds L2 — measurably
     // slower at 2^B = 64). Boxes and pc blocks are disjoint targets, so per
     // L element the additions still run s-ascending, j-minor — the same
-    // order as the per-separation reference passes (bit-identical). One
-    // parallel_for replaces the reference's nsep pool forks.
+    // order as the per-separation oracle passes (bit-identical). One
+    // parallel_for replaces a per-separation sweep's nsep pool forks.
     parallel_for(
         nbl,
         [&](index_t b_lo, index_t b_hi) {
@@ -467,27 +468,6 @@ void Engine<T>::m2l_base() {
                double(sizeof(T)) *
                    (double(cpm_ * q * nbl) + double(cpm_ * q * nb_global)),
                double(sizeof(T)) * double(cpm_ * q * nbl));
-}
-
-template <typename T>
-void Engine<T>::m2l_level_reference(int level) {
-  // Pre-fusion cousin M2L: one apply_m2l pass per separation. Identity
-  // oracle for m2l_level(); records no stats.
-  FMMFFT_CHECK(level > prm_.b && level <= prm_.l());
-  const auto& seps = level_separations();
-  const auto& ops = m2l_level_ops_[(std::size_t)(level - prm_.b - 1)];
-  for (std::size_t k = 0; k < seps.size(); ++k) apply_m2l(level, seps[k], ops[k], false);
-}
-
-template <typename T>
-void Engine<T>::m2l_base_reference() {
-  // Pre-fusion base M2L: one apply_m2l pass per separation. Identity oracle
-  // for m2l_base(); records no stats.
-  const index_t nb_global = prm_.boxes(prm_.b);
-  for (index_t s = 2; s <= nb_global - 2; ++s) {
-    const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-    apply_m2l(prm_.b, s, tab ? tab : m2l_operator(prm_.b, s), true);
-  }
 }
 
 template <typename T>

@@ -112,13 +112,6 @@ class Engine {
   void s2t();
   void m2l_level(int level);  ///< cousin M2L at level in [B+1, L]
   void m2l_base();
-
-  // -- Reference kernels (identity oracles for the fused M2L paths) --------
-  // Same tensors, same per-element accumulation order, but one pass per M2L
-  // separation instead of the per-box fused sweep. Outputs must match the
-  // fast paths bit for bit. These record no stage stats.
-  void m2l_level_reference(int level);
-  void m2l_base_reference();
   void reduce();
   void l2l(int level);  ///< push level to level+1 (level in [B, L-1])
   void l2t();

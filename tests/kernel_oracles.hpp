@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/math.hpp"
 #include "fmm/engine.hpp"
 #include "fmm/operators.hpp"
 
@@ -34,6 +35,65 @@ void s2t_oracle(Engine<T>& eng) {
         for (index_t pc = 0; pc < cp; ++pc) tb[cp * i + pc] += row[pc] * sb[cp * j + pc];
       }
   }
+}
+
+/// Separations the M2L applies at `level`: 2..2^B-2 ascending at the base
+/// level B, else fmm::level_separations (each box uses the three that
+/// match its parity).
+template <typename T>
+std::vector<index_t> m2l_oracle_separations(const Engine<T>& eng, int level) {
+  if (level != eng.params().b) return level_separations();
+  std::vector<index_t> seps;
+  for (index_t s = 2; s <= eng.params().boxes(level) - 2; ++s) seps.push_back(s);
+  return seps;
+}
+
+/// The operator table of every separation in m2l_oracle_separations order,
+/// built by fmm::m2l_table and cast to the working precision as the engine
+/// does. Build once outside a timed loop.
+template <typename T>
+std::vector<std::vector<T>> m2l_oracle_tables(const Engine<T>& eng, int level) {
+  std::vector<std::vector<T>> tabs;
+  for (index_t s : m2l_oracle_separations(eng, level)) {
+    const std::vector<double> tab64 = m2l_table(eng.params(), level, s, eng.components());
+    tabs.emplace_back(tab64.begin(), tab64.end());
+  }
+  return tabs;
+}
+
+/// Scalar M2L at `level` in [B, L]: one pass per separation, in order,
+/// L_{pc,i,b} += Σ_j M2L^s_{pc,i,j} M_{pc,j,b+s} with j ascending, so each
+/// L element accumulates separation-major, j-minor — the order of the fused
+/// m2l_level / m2l_base sweeps. The base level reads the global gathered
+/// multipoles cyclically; other levels read the local buffer, halo
+/// included.
+template <typename T>
+void m2l_oracle(Engine<T>& eng, int level, const std::vector<std::vector<T>>& tabs) {
+  const bool base = level == eng.params().b;
+  const index_t q = eng.params().q, cpm = eng.cpm();
+  const index_t nbl = eng.local_boxes(level), off = eng.box_offset(level);
+  const index_t nb_global = eng.params().boxes(level);
+  const std::vector<index_t> seps = m2l_oracle_separations(eng, level);
+  for (std::size_t k = 0; k < seps.size(); ++k) {
+    const index_t s = seps[k];
+    const T* tab = tabs[k].data();
+    for (index_t b = 0; b < nbl; ++b) {
+      const index_t gb = off + b;
+      if (!base && !separation_applies(s, gb % 2 != 0)) continue;
+      const T* m = base ? eng.multipole_box(level, mod(gb + s, nb_global))
+                        : eng.multipole_box(level, b + s);
+      T* l = eng.local_box(level, b);
+      for (index_t i = 0; i < q; ++i)
+        for (index_t j = 0; j < q; ++j)
+          for (index_t pc = 0; pc < cpm; ++pc)
+            l[cpm * i + pc] += tab[(i + q * j) * cpm + pc] * m[cpm * j + pc];
+    }
+  }
+}
+
+template <typename T>
+void m2l_oracle(Engine<T>& eng, int level) {
+  m2l_oracle(eng, level, m2l_oracle_tables(eng, level));
 }
 
 }  // namespace fmmfft::fmm

@@ -7,6 +7,7 @@
 #include <complex>
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
@@ -17,6 +18,7 @@
 #include "dist/collectives.hpp"
 #include "dist/dfft.hpp"
 #include "dist/dfmmfft.hpp"
+#include "dist_oracles.hpp"
 #include "exec/executor.hpp"
 #include "model/counts.hpp"
 
@@ -216,22 +218,31 @@ TEST(Baseline1d, ThreeAllToAllsOfExpectedVolume) {
 }
 
 TEST(Dist2d, MatchesSerial2dFft) {
+  // Independent single-device oracle: row FFTs, Π_{M,P}, column FFTs with
+  // the same Plan1D lines. Every layout and both graph drains must agree
+  // with it byte for byte.
   const index_t m = 64, p = 32;
   for (int g : {1, 2, 4}) {
-    std::vector<Cd> x(static_cast<std::size_t>(m * p)), got(x.size());
+    std::vector<Cd> x(static_cast<std::size_t>(m * p));
     fill_uniform(x.data(), m * p, 17 + g);
-    Dist2dFft<double> fftd(m, p, g);
-    got = x;
-    fftd.execute(x.data(), got.data());
-    // Reference: same operation on one device via the serial path —
-    // p-major layout means dim0 of the 2D array is p.
+    // p-major layout: dim0 of the 2D array is p.
     std::vector<Cd> ref = x;
     fft::Plan1D<double> fp(p), fm(m);
     fp.execute_batched(ref.data(), m, fft::Direction::Forward);
     std::vector<Cd> tmp(ref.size());
     permute_mp(ref.data(), tmp.data(), m, p);
     fm.execute_batched(tmp.data(), p, fft::Direction::Forward);
-    EXPECT_LT(rel_l2_error(got.data(), tmp.data(), m * p), 1e-13) << "g=" << g;
+    std::vector<std::pair<model::Decomp, model::GridShape>> layouts{{model::Decomp::Slab, {}}};
+    if (g == 4) layouts.push_back({model::Decomp::Pencil, {2, 2}});
+    for (const auto& [decomp, grid] : layouts)
+      for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+        exec::ScopedMode sm(mode);
+        Dist2dFft<double> fftd(m, p, g, decomp, grid);
+        std::vector<Cd> got(x.size());
+        fftd.execute(x.data(), got.data());
+        EXPECT_EQ(0, std::memcmp(got.data(), tmp.data(), got.size() * sizeof(Cd)))
+            << "g=" << g << " " << model::to_string(decomp) << " mode=" << int(mode);
+      }
   }
 }
 
@@ -311,21 +322,25 @@ class DistFmmFftGrid : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistFmmFftGrid, MatchesExactFftAndSingleNode) {
   const auto c = GetParam();
   fmm::Params prm{c.n, c.p, c.ml, c.b, c.q};
-  std::vector<Cd> x(static_cast<std::size_t>(c.n)), got(x.size()), expect(x.size()),
-      single(x.size());
+  std::vector<Cd> x(static_cast<std::size_t>(c.n)), expect(x.size()), single(x.size());
   fill_uniform(x.data(), c.n, 1000 + c.g);
 
-  DistFmmFft<Cd> dplan(prm, c.g);
-  dplan.execute(x.data(), got.data());
-
   core::exact_fft(c.n, x.data(), expect.data());
-  EXPECT_LT(rel_l2_error(got.data(), expect.data(), c.n), ambient_mixed() ? 4e-7 : 2e-14)
-      << prm.to_string() << " g=" << c.g;
-
   core::FmmFft<Cd> splan(prm);
   splan.execute(x.data(), single.data());
-  EXPECT_LT(rel_l2_error(got.data(), single.data(), c.n), ambient_mixed() ? 1e-7 : 1e-14)
-      << "distributed vs single-node, g=" << c.g;
+  EXPECT_LT(rel_l2_error(single.data(), expect.data(), c.n), ambient_mixed() ? 4e-7 : 2e-14)
+      << prm.to_string();
+
+  // The single-node pipeline is the independent oracle: the distributed
+  // graph, drained inline or on the pool, reproduces it byte for byte.
+  DistFmmFft<Cd> dplan(prm, c.g);
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    std::vector<Cd> got(x.size());
+    dplan.execute(x.data(), got.data());
+    EXPECT_EQ(0, std::memcmp(got.data(), single.data(), got.size() * sizeof(Cd)))
+        << prm.to_string() << " g=" << c.g << " mode=" << int(mode);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, DistFmmFftGrid,
@@ -338,23 +353,26 @@ INSTANTIATE_TEST_SUITE_P(Grid, DistFmmFftGrid,
 
 TEST(DistFmmFft, MixedMatchesExactAndSingleNodeMixed) {
   // Mixed across devices: fp32 engines and fp32 halo payloads under the
-  // fp64 shell must stay inside the single-precision bound and agree with
-  // the single-node mixed pipeline to fp32 roundoff.
+  // fp64 shell stay inside the single-precision bound and reproduce the
+  // single-node mixed pipeline byte for byte under either graph drain.
   fmm::Params prm{1 << 14, 64, 8, 2, 14};
-  std::vector<Cd> x(static_cast<std::size_t>(prm.n)), got(x.size()), expect(x.size()),
-      single(x.size());
+  std::vector<Cd> x(static_cast<std::size_t>(prm.n)), expect(x.size()), single(x.size());
   fill_uniform(x.data(), prm.n, 606);
-
-  DistFmmFft<Cd> dplan(prm, 2, fmm::Precision::Mixed);
-  EXPECT_EQ(dplan.precision(), fmm::Precision::Mixed);
-  dplan.execute(x.data(), got.data());
-
-  core::exact_fft(prm.n, x.data(), expect.data());
-  EXPECT_LT(rel_l2_error(got.data(), expect.data(), prm.n), 4e-7);
 
   core::FmmFft<Cd> splan(prm, /*fuse_post=*/true, fmm::Precision::Mixed);
   splan.execute(x.data(), single.data());
-  EXPECT_LT(rel_l2_error(got.data(), single.data(), prm.n), 1e-7);
+  core::exact_fft(prm.n, x.data(), expect.data());
+  EXPECT_LT(rel_l2_error(single.data(), expect.data(), prm.n), 4e-7);
+
+  DistFmmFft<Cd> dplan(prm, 2, fmm::Precision::Mixed);
+  EXPECT_EQ(dplan.precision(), fmm::Precision::Mixed);
+  for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+    exec::ScopedMode sm(mode);
+    std::vector<Cd> got(x.size());
+    dplan.execute(x.data(), got.data());
+    EXPECT_EQ(0, std::memcmp(got.data(), single.data(), got.size() * sizeof(Cd)))
+        << "mode=" << int(mode);
+  }
 }
 
 TEST(DistFmmFft, MixedSerialAndAsyncAreBitIdentical) {

@@ -1,6 +1,6 @@
 // Tests for the distributed 3D FFT: slab and pencil decompositions against
 // the single-node reference transform and against each other (bit-identity
-// across decompositions, processor grids, executor modes and a G = 1 run),
+// across decompositions, processor grids, graph drains and a G = 1 run),
 // fabric payload volumes per exchange phase, ledger-vs-model traffic
 // exactness, the FMMFFT_DECOMP/FMMFFT_GRID environment knobs, and the
 // autotuner's recorded decision.
@@ -72,12 +72,30 @@ std::vector<std::complex<T>> reference3d(index_t n0, index_t n1, index_t n2) {
 }
 
 TEST(Dist3d, SlabMatchesReferenceTransform) {
+  // The reoriented single-node Plan3D is the independent oracle: slab and
+  // every pencil grid, under both graph drains, reproduce it byte for byte.
   const index_t n0 = 16, n1 = 8, n2 = 8;
   const auto ref = reference3d<double>(n0, n1, n2);
-  for (int g : {1, 2, 4}) {
-    const auto y = run3d<double>(n0, n1, n2, g, model::Decomp::Slab);
-    EXPECT_LT(rel_l2_error(y.data(), ref.data(), n0 * n1 * n2), 1e-13) << "g=" << g;
-  }
+  struct Layout {
+    int g;
+    model::Decomp decomp;
+    model::GridShape grid;
+  };
+  const Layout layouts[] = {{1, model::Decomp::Slab, {}},
+                            {2, model::Decomp::Slab, {}},
+                            {4, model::Decomp::Slab, {}},
+                            {2, model::Decomp::Pencil, {1, 2}},
+                            {4, model::Decomp::Pencil, {2, 2}},
+                            {4, model::Decomp::Pencil, {1, 4}},
+                            {4, model::Decomp::Pencil, {4, 1}}};
+  for (const Layout& l : layouts)
+    for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+      exec::ScopedMode sm(mode);
+      const auto y = run3d<double>(n0, n1, n2, l.g, l.decomp, l.grid);
+      EXPECT_EQ(0, std::memcmp(y.data(), ref.data(), y.size() * sizeof(Cd)))
+          << "g=" << l.g << " " << model::to_string(l.decomp) << " " << l.grid.pr << "x"
+          << l.grid.pc << " mode=" << int(mode);
+    }
 }
 
 TEST(Dist3d, PencilGridsBitIdenticalToSlabAndG1) {
@@ -185,8 +203,8 @@ TEST(Dist3d, TrafficExactToModelBothDecomps) {
     EXPECT_TRUE(rep.all_ok()) << rep.to_string();
   }
   {
-    // The ledger totals are executor-invariant: the async graph must
-    // account byte-for-byte what the serial path does.
+    // The ledger totals are drain-invariant: the pooled graph must account
+    // byte-for-byte what the inline drain (the Auto pick at this size) does.
     TrafficSession s;
     exec::ScopedMode sm(exec::Mode::Async);
     Dist3dFft<double> pencil(n0, n1, n2, 4, model::Decomp::Pencil, {2, 2});

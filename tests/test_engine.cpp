@@ -261,10 +261,10 @@ void expect_kernels_match(const Params& prm, index_t g, index_t rank, int compon
   expect_s2t_matches(ea, eb, g, rank);
   for (int lev = prm.l(); lev > prm.b; --lev) {
     ea.m2l_level(lev);
-    eb.m2l_level_reference(lev);
+    m2l_oracle(eb, lev);
   }
   ea.m2l_base();
-  eb.m2l_base_reference();
+  m2l_oracle(eb, prm.b);
   for (int lev = prm.b; lev <= prm.l(); ++lev) {
     const std::size_t lbytes =
         sizeof(T) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));

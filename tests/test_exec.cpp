@@ -1,13 +1,16 @@
-// Tests for the exec:: task-graph executor and the bit-identity guarantee
-// of the async distributed drivers: dependency semantics (diamond), ordered
-// per-lane FIFO, exception propagation with cancellation, and byte-for-byte
-// serial-vs-async agreement of DistFmmFft / Dist2dFft at g = 1, 2, 4.
+// Tests for the exec:: task-graph executor and the schedule independence
+// of the distributed drivers: dependency semantics (diamond), ordered
+// per-lane FIFO, exception propagation with cancellation, the inline drain
+// (Mode::Serial), and byte-for-byte inline-vs-pooled agreement of
+// DistFmmFft / Dist2dFft at g = 1, 2, 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <complex>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -138,10 +141,10 @@ TEST(Mode, ScopedOverrideRestores) {
 }
 
 TEST(Mode, AutoResolvesByWorkFloor) {
-  // Auto picks the serial driver below the per-device work floor (where the
-  // graph's submit/run overhead beats the overlap) and the executor at or
-  // above it; explicit modes pass through resolve_mode untouched.
-  const index_t floor = auto_work_floor();
+  // Auto drains inline below the per-device work floor (where pooled
+  // wake-ups beat the overlap) and on the pool at or above it; explicit
+  // modes pass through resolve_mode untouched.
+  const index_t floor = kAutoWorkFloor;
   ASSERT_GT(floor, 0);
   {
     ScopedMode sm(Mode::Auto);
@@ -159,6 +162,69 @@ TEST(Mode, AutoResolvesByWorkFloor) {
   }
 }
 
+TEST(TaskGraph, InlineRunStaysOnCallingThreadInTopologicalOrder) {
+  // Mode::Serial drains the graph on the calling thread: every task runs
+  // there, in an order that respects every edge, and outside any pool
+  // chunk — so the kernels' own parallel_for still fans out across the pool.
+  DeviceLanes lanes(2);
+  TaskGraph g(lanes.count());
+  const std::thread::id caller = std::this_thread::get_id();
+  const int caller_worker = ThreadPool::current_worker();
+  std::atomic<int> off_thread{0}, in_chunk{0};
+  auto body = [&] {
+    if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+    if (ThreadPool::in_task()) in_chunk.fetch_add(1);
+  };
+  const TaskId a = g.submit("a", {lanes.compute(0), true, "t"}, body);
+  const TaskId bb = g.submit("b", {lanes.compute(1), true, "t"}, body);
+  const TaskId c = g.submit("c", {lanes.copy(0, 1), true, "t"}, body, {a});
+  const TaskId d = g.submit("d", {lanes.compute(1), false, "t"}, body, {bb, c});
+  const TaskId e = g.submit("e", {lanes.compute(0), true, "t"}, body);
+  for (int i = 0; i < 8; ++i) g.submit("u", {lanes.compute(1), false, "t"}, body, {c});
+  {
+    ScopedMode sm(Mode::Serial);
+    g.run(resolve_mode(index_t(1) << 30));
+  }
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(in_chunk.load(), 0);
+  std::vector<int> seen;
+  for (const TaskRecord& r : g.records()) {
+    EXPECT_EQ(r.worker, caller_worker) << r.span;
+    seen.push_back(r.run_seq);
+  }
+  // run_seq is a permutation of 0..n-1 that orders every dependency edge
+  // (ordered-lane predecessors included).
+  std::sort(seen.begin(), seen.end());
+  for (int i = 0; i < g.size(); ++i) ASSERT_EQ(seen[(std::size_t)i], i);
+  auto seq = [&](TaskId id) { return g.records()[(std::size_t)id].run_seq; };
+  EXPECT_LT(seq(a), seq(c));
+  EXPECT_LT(seq(bb), seq(d));
+  EXPECT_LT(seq(c), seq(d));
+  EXPECT_LT(seq(a), seq(e));  // ordered lane compute(0)
+  for (TaskId u = e + 1; u < g.size(); ++u) EXPECT_LT(seq(c), seq(u));
+}
+
+TEST(TaskGraph, InlineRunKeepsKernelParallelism) {
+  // Inside an inline task a parallel_for still splits across the pool (the
+  // serial rows' kernel parallelism); inside a pooled task it runs inline.
+  ThreadPool& pool = ThreadPool::global();
+  if (pool.workers() < 2) GTEST_SKIP() << "needs a multi-worker global pool";
+  auto chunks_in_task = [](Mode m) {
+    TaskGraph g(1);
+    std::atomic<int> chunks{0};
+    g.submit("pf", {0, true, "t"}, [&chunks] {
+      parallel_for(
+          index_t(1) << 12, [&chunks](index_t, index_t) { chunks.fetch_add(1); },
+          /*grain=*/1);
+    });
+    g.submit("pad", {0, false, "t"}, [] {});  // two tasks: the pool drains with 2 workers
+    g.run(m);
+    return chunks.load();
+  };
+  EXPECT_GT(chunks_in_task(Mode::Serial), 1);
+  EXPECT_EQ(chunks_in_task(Mode::Async), 1);
+}
+
 TEST(DeviceLanes, NumberingIsDisjoint) {
   DeviceLanes lanes(4);
   EXPECT_EQ(lanes.count(), 4 + 16);
@@ -174,7 +240,7 @@ TEST(DeviceLanes, NumberingIsDisjoint) {
     }
 }
 
-// -- Serial-vs-async bit-identity -------------------------------------------
+// -- Inline-vs-pooled bit-identity (schedule independence) ------------------
 
 TEST(Dist2dFftAsync, BitIdenticalToSerial) {
   const index_t m = 64, p = 16;

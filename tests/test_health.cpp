@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
+#include "dist/dfmmfft.hpp"
 #include "exec/executor.hpp"
 #include "json_validator.hpp"
 #include "obs/env.hpp"
@@ -254,20 +256,34 @@ TEST(Watchdog, FiresOnSilentSource) {
   EXPECT_NE(health::last_verdict().find("tick source stalled"), std::string::npos);
 }
 
-TEST(Watchdog, PhaseSourceAttributesStageAndDevice) {
+TEST(Watchdog, InlineDriverStallIsAttributedToTaskAndLane) {
+  // Mode::Serial drains the distributed driver's graph on the calling
+  // thread; the graph is still the watchdog source, so a stall inside an
+  // inline run names the task, its stage and device lane, and the work
+  // blocked behind it.
   HealthQuiesce q;
-  health::enable_watchdog(50);
+  const std::string pm = "test_health.inline.postmortem.json";
+  health::set_postmortem_path(pm);
+  health::enable_watchdog(60);
   const std::uint64_t fires_before = health::watchdog_fires();
+  const fmmfft::fmm::Params prm{1 << 12, 32, 4, 2, 18};
+  std::vector<std::complex<double>> x((std::size_t)prm.n, {1.0, 0.5}), y(x.size());
+  fmmfft::dist::DistFmmFft<std::complex<double>> plan(prm, 2);
   {
-    health::PhaseSource hb("test.phases");
-    hb.phase("m2l", 2);
-    for (int i = 0; i < 100 && health::watchdog_fires() == fires_before; ++i) sleep_ms(10);
+    fmmfft::exec::ScopedMode sm(fmmfft::exec::Mode::Serial);
+    fmmfft::exec::inject_stall(0, 900);  // task 0: device 0's load
+    plan.execute(x.data(), y.data());
   }
   EXPECT_GT(health::watchdog_fires(), fires_before);
   const std::string v = health::last_verdict();
-  EXPECT_NE(v.find("test.phases"), std::string::npos) << v;
-  EXPECT_NE(v.find("'m2l'"), std::string::npos) << v;
-  EXPECT_NE(v.find("device 2"), std::string::npos) << v;
+  EXPECT_NE(v.find("exec.TaskGraph"), std::string::npos) << v;
+  EXPECT_NE(v.find("stuck: task 0 'fmm:load d0'"), std::string::npos) << v;
+  EXPECT_NE(v.find("stage 'fmm'"), std::string::npos) << v;
+  EXPECT_NE(v.find("compute d0"), std::string::npos) << v;
+  EXPECT_NE(v.find("blocked chain"), std::string::npos) << v;
+  EXPECT_NE(v.find("'sync:comm-s 0->1'"), std::string::npos) << v;
+  EXPECT_NE(read_file(pm).find("load d0"), std::string::npos);
+  std::remove(pm.c_str());
 }
 
 TEST(Watchdog, InjectedGraphStallIsAttributedWithChain) {

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "dist/collectives.hpp"
 #include "dist/dfmmfft.hpp"
+#include "dist_oracles.hpp"
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "json_validator.hpp"
@@ -194,8 +195,8 @@ TEST(Ledger, FusedAllToAllHalvesStagedBytes) {
 
 TEST(Ledger, SerialAndAsyncTotalsAreIdentical) {
   // The ledger records algorithmic traffic, so totals must be a pure
-  // function of the problem — bit-identical across executor modes (exec.*
-  // scopes carry wall seconds and are excluded).
+  // function of the problem — bit-identical across the inline and pooled
+  // graph drains (exec.* scopes carry wall seconds and are excluded).
   const fmm::Params prm{1 << 14, 64, 8, 2, 18};
   using In = std::complex<double>;
   std::vector<In> x(std::size_t(prm.n)), y(x.size());
