@@ -4,7 +4,7 @@
 //   fmmfft_cli --log2n 18 [--precision c64|c32|f64|f32] [--devices G]
 //              [--p P --ml ML --b B --q Q | --eps 1e-12]
 //              [--simulate 2xk40|2xp100|8xp100] [--seed S]
-//              [--trace FILE] [--metrics FILE] [--report FILE]
+//              [--trace FILE] [--metrics FILE] [--report FILE] [--traffic FILE]
 //
 // Without explicit parameters the plan comes from the a-priori error model
 // (fmm::suggest_params). With --simulate, the run is also scheduled on the
@@ -90,8 +90,8 @@ void print_usage(const char* argv0) {
       "\n"
       "observability (both --flag FILE and --flag=FILE forms accepted):\n"
       "  --trace FILE           record spans, write a chrome://tracing JSON\n"
-      "  --metrics FILE         record counters/histograms (with p50/p95/p99),\n"
-      "                         write a metrics JSON and the model-vs-measured check\n"
+      "  --metrics FILE         record executor/pool counters and histograms (with\n"
+      "                         p50/p95/p99), write a metrics JSON\n"
       "  --report FILE          write the timeline analyzer report JSON for the\n"
       "                         simulated run (defaults to 2xp100 without --simulate)\n"
       "  --traffic FILE         record the memory-traffic ledger (bytes read/written,\n"
@@ -320,18 +320,8 @@ int run(const Options& o) {
                 (long long)plan.profile().kernel_launches(), plan.profile().fft_seconds * 1e3);
   }
 
-  // Model-vs-measured check must run now: the exact-FFT verification below
-  // would add its own fft.flops to the counters.
-  if (obs::metrics_enabled()) {
-    const auto report =
-        obs::compare_with_model(prm, is_complex_v<InT> ? 2 : 1, o.devices, sizeof(Real), 1,
-                                fmm::translation_real_bytes(prec, sizeof(Real)));
-    std::printf("\nmodel vs measured (FMMFFT_METRICS):\n%s", report.to_string().c_str());
-    std::printf("model check: %s\n", report.all_ok() ? "OK" : "DEVIATION");
-  }
-
   // Dump observability artifacts now, before the exact-FFT verification
-  // below contaminates the counters with its own fft.flops.
+  // below adds its own FFT spans and ledger bytes.
   if (!o.trace.empty()) {
     if (obs::write_trace_file(o.trace))
       std::printf("wrote trace to %s\n", o.trace.c_str());
@@ -345,9 +335,8 @@ int run(const Options& o) {
       std::printf("WARNING: could not write metrics to %s\n", o.metrics.c_str());
   }
   if (!o.traffic.empty()) {
-    // Same ordering constraint: the exact-FFT verification below would add
-    // its own fft bytes to the ledger. pr/pc: when the 2D-FFT stage resolved
-    // to the pencil exchange, check the per-phase payloads instead of A2A-2D.
+    // pr/pc: when the 2D-FFT stage resolved to the pencil exchange, check
+    // the per-phase payloads instead of A2A-2D.
     const auto report = obs::compare_traffic_with_model(
         prm, is_complex_v<InT> ? 2 : 1, o.devices, sizeof(Real), 1,
         fmm::translation_real_bytes(prec, sizeof(Real)), pr, pc);

@@ -32,11 +32,6 @@ template <typename T>
 void gemv(Op trans, index_t m, index_t n, T alpha, const T* a, index_t lda, const T* x,
           index_t incx, T beta, T* y, index_t incy);
 
-/// Reference (naive triple loop) GEMM used to validate the blocked kernels.
-template <typename T>
-void gemm_reference(Op transa, Op transb, index_t m, index_t n, index_t k, T alpha, const T* a,
-                    index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc);
-
 /// Flop count of one GEMM (multiply-add = 2 flops).
 inline double gemm_flops(index_t m, index_t n, index_t k) {
   return 2.0 * double(m) * double(n) * double(k);

@@ -492,9 +492,6 @@ template <typename T>
 void gemm(Op transa, Op transb, index_t m, index_t n, index_t k, T alpha, const T* a,
           index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc) {
   FMMFFT_SPAN("GEMM");
-  FMMFFT_COUNT("blas.gemm_calls", 1);
-  FMMFFT_COUNT("blas.launches", 1);
-  FMMFFT_COUNT("blas.flops", gemm_flops(m, n, k));
   // Compulsory operand traffic: A and B in, C out (plus C in when beta != 0).
   FMMFFT_TRAFFIC_RW("blas.gemm",
                     (double(m) * double(k) + double(k) * double(n) +
@@ -511,15 +508,10 @@ void gemm_strided_batched(Op transa, Op transb, index_t m, index_t n, index_t k,
                           index_t batch_count) {
   FMMFFT_CHECK(batch_count >= 0);
   FMMFFT_SPAN("BatchedGEMM");
-  FMMFFT_COUNT("blas.gemm_calls", batch_count);
-  FMMFFT_COUNT("blas.launches", 1);
-  // Flops are counted once here, at the public entry point — neither inner
-  // path below touches the blas.* counters, so obs::compare_with_model sees
-  // the same totals whichever path runs.
-  FMMFFT_COUNT("blas.flops", double(batch_count) * gemm_flops(m, n, k));
-  // Per problem instance, so the total is path-independent: the shared-B
-  // fused path still counts B once per batch item (its actual reuse of the
-  // packed B shows up as achieved bandwidth above the roof, not here).
+  // Counted once here, at the public entry point, per problem instance:
+  // neither inner path touches the ledger, so the total is path-independent.
+  // The shared-B fused path still counts B once per batch item (its actual
+  // reuse of the packed B shows up as achieved bandwidth above the roof).
   FMMFFT_TRAFFIC_RW("blas.gemm_batched",
                     double(batch_count) *
                         (double(m) * double(k) + double(k) * double(n) +
@@ -551,9 +543,6 @@ template <typename T>
 void gemv(Op trans, index_t m, index_t n, T alpha, const T* a, index_t lda, const T* x,
           index_t incx, T beta, T* y, index_t incy) {
   FMMFFT_SPAN("GEMV");
-  FMMFFT_COUNT("blas.gemv_calls", 1);
-  FMMFFT_COUNT("blas.launches", 1);
-  FMMFFT_COUNT("blas.flops", 2.0 * double(m) * double(n));
   FMMFFT_TRAFFIC_RW("blas.gemv",
                     (double(m) * double(n) + double(n) +
                      (beta != T(0) ? double(m) : 0.0)) *
@@ -578,17 +567,6 @@ void gemv(Op trans, index_t m, index_t n, T alpha, const T* a, index_t lda, cons
   }
 }
 
-template <typename T>
-void gemm_reference(Op transa, Op transb, index_t m, index_t n, index_t k, T alpha, const T* a,
-                    index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc) {
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < m; ++i) {
-      T s = 0;
-      for (index_t l = 0; l < k; ++l) s += at(a, lda, transa, i, l) * at(b, ldb, transb, l, j);
-      c[i + j * ldc] = alpha * s + beta * c[i + j * ldc];
-    }
-}
-
 #define FMMFFT_INSTANTIATE_BLAS(T)                                                             \
   template void gemm<T>(Op, Op, index_t, index_t, index_t, T, const T*, index_t, const T*,     \
                         index_t, T, T*, index_t);                                              \
@@ -596,9 +574,7 @@ void gemm_reference(Op transa, Op transb, index_t m, index_t n, index_t k, T alp
                                         index_t, index_t, const T*, index_t, index_t, T, T*,   \
                                         index_t, index_t, index_t);                            \
   template void gemv<T>(Op, index_t, index_t, T, const T*, index_t, const T*, index_t, T, T*,  \
-                        index_t);                                                              \
-  template void gemm_reference<T>(Op, Op, index_t, index_t, index_t, T, const T*, index_t,     \
-                                  const T*, index_t, T, T*, index_t);
+                        index_t);
 
 FMMFFT_INSTANTIATE_BLAS(float)
 FMMFFT_INSTANTIATE_BLAS(double)

@@ -16,18 +16,29 @@ double cbytes(const model::Workload& w) { return 2.0 * w.real_bytes(); }
 
 int chunk_count(int g) { return std::max(2, g); }
 
+/// Peer lists of a G-wide exchange: every device talks to every device.
+std::vector<std::vector<int>> all_peers(int g) {
+  std::vector<int> every((std::size_t)g);
+  for (int d = 0; d < g; ++d) every[(std::size_t)d] = d;
+  return std::vector<std::vector<int>>((std::size_t)g, every);
+}
+
 /// Chunk-pipelined all-to-all with the local pack/unpack kernels a strided
 /// distributed transpose performs around each message (cuFFTXT-style
-/// layout-conversion kernels). Returns per-(device, chunk) unpack ids the
-/// consumer phase should depend on.
+/// layout-conversion kernels). Device d exchanges with `peers[d]`: every
+/// device for a G-wide exchange (all_peers), a pencil row or column group
+/// for a sub-communicator phase. Pack/unpack still sweep the whole local
+/// slab or pencil — every element moves (or is re-laid-out locally) in each
+/// exchange. Returns per-(device, chunk) unpack ids the consumer phase
+/// should depend on.
 struct ChunkedA2A {
   std::vector<std::vector<int>> arrivals;
 };
 
-ChunkedA2A chunked_all_to_all(Schedule& s, int g, int chunks, double bytes_per_pair,
-                              const std::string& tag, const model::Workload& w,
-                              double slab_pts,
-                              const std::vector<std::vector<int>>& producer_deps) {
+ChunkedA2A chunked_a2a(Schedule& s, int g, int chunks, double bytes_per_pair,
+                       const std::string& tag, const model::Workload& w, double slab_pts,
+                       const std::vector<std::vector<int>>& producer_deps,
+                       const std::vector<std::vector<int>>& peers) {
   s.set_stage("a2a");
   ChunkedA2A out;
   out.arrivals.assign((std::size_t)g, std::vector<int>((std::size_t)chunks, -1));
@@ -45,52 +56,7 @@ ChunkedA2A chunked_all_to_all(Schedule& s, int g, int chunks, double bytes_per_p
           s.add_kernel(d, tag + "-pack", KC::Copy, 0.0, chunk_mem, w.is_double, deps);
     }
 
-  // Messages: chunk c from src to every dst, gated on src's pack.
-  std::vector<std::vector<std::vector<int>>> into(
-      (std::size_t)g, std::vector<std::vector<int>>((std::size_t)chunks));
-  for (int c = 0; c < chunks; ++c)
-    for (int src = 0; src < g; ++src)
-      for (int dst = 0; dst < g; ++dst) {
-        if (src == dst) continue;
-        into[(std::size_t)dst][(std::size_t)c].push_back(
-            s.add_comm(src, dst, tag, chunk_bytes, {pack[(std::size_t)src][(std::size_t)c]}));
-      }
-
-  // Unpack kernels: scatter chunk c into the destination layout.
-  for (int d = 0; d < g; ++d)
-    for (int c = 0; c < chunks; ++c) {
-      auto deps = into[(std::size_t)d][(std::size_t)c];
-      deps.push_back(pack[(std::size_t)d][(std::size_t)c]);  // local portion
-      out.arrivals[(std::size_t)d][(std::size_t)c] =
-          s.add_kernel(d, tag + "-unpack", KC::Copy, 0.0, chunk_mem, w.is_double, deps);
-    }
-  return out;
-}
-
-/// Sub-communicator variant: identical pack/message/unpack structure, but
-/// device d exchanges only with `peers[d]` (a pencil row or column group).
-/// Pack/unpack still sweep the whole local pencil — every element moves
-/// (or is re-laid-out locally) in each phase.
-ChunkedA2A chunked_sub_a2a(Schedule& s, int g, int chunks, double bytes_per_pair,
-                           const std::string& tag, const model::Workload& w, double slab_pts,
-                           const std::vector<std::vector<int>>& producer_deps,
-                           const std::vector<std::vector<int>>& peers) {
-  s.set_stage("a2a");
-  ChunkedA2A out;
-  out.arrivals.assign((std::size_t)g, std::vector<int>((std::size_t)chunks, -1));
-  const double chunk_bytes = bytes_per_pair / chunks;
-  const double chunk_mem = 2.0 * (slab_pts / chunks) * cbytes(w);
-
-  std::vector<std::vector<int>> pack((std::size_t)g, std::vector<int>((std::size_t)chunks));
-  for (int d = 0; d < g; ++d)
-    for (int c = 0; c < chunks; ++c) {
-      std::vector<int> deps;
-      if (!producer_deps.empty() && producer_deps[(std::size_t)d][(std::size_t)c] >= 0)
-        deps.push_back(producer_deps[(std::size_t)d][(std::size_t)c]);
-      pack[(std::size_t)d][(std::size_t)c] =
-          s.add_kernel(d, tag + "-pack", KC::Copy, 0.0, chunk_mem, w.is_double, deps);
-    }
-
+  // Messages: chunk c from src to every peer, gated on src's pack.
   std::vector<std::vector<std::vector<int>>> into(
       (std::size_t)g, std::vector<std::vector<int>>((std::size_t)chunks));
   for (int c = 0; c < chunks; ++c)
@@ -101,10 +67,11 @@ ChunkedA2A chunked_sub_a2a(Schedule& s, int g, int chunks, double bytes_per_pair
             s.add_comm(src, dst, tag, chunk_bytes, {pack[(std::size_t)src][(std::size_t)c]}));
       }
 
+  // Unpack kernels: scatter chunk c into the destination layout.
   for (int d = 0; d < g; ++d)
     for (int c = 0; c < chunks; ++c) {
       auto deps = into[(std::size_t)d][(std::size_t)c];
-      deps.push_back(pack[(std::size_t)d][(std::size_t)c]);
+      deps.push_back(pack[(std::size_t)d][(std::size_t)c]);  // local portion
       out.arrivals[(std::size_t)d][(std::size_t)c] =
           s.add_kernel(d, tag + "-unpack", KC::Copy, 0.0, chunk_mem, w.is_double, deps);
     }
@@ -281,8 +248,8 @@ sim::Schedule fmmfft_schedule(const fmm::Params& prm, const model::Workload& w, 
   // FFT-P -> single all-to-all -> FFT-M.
   auto sync = global_sync(s, g, chunks, "SYNC", -1.0, post);
   auto fft1 = fft_phase(s, g, chunks, slab_pts, double(prm.p), w, "FFT-P", sync);
-  auto a2a = chunked_all_to_all(s, g, chunks, double(prm.n) / (double(g) * g) * cbytes(w),
-                                "A2A-2D", w, slab_pts, fft1);
+  auto a2a = chunked_a2a(s, g, chunks, double(prm.n) / (double(g) * g) * cbytes(w), "A2A-2D",
+                         w, slab_pts, fft1, all_peers(g));
   fft_phase(s, g, chunks, slab_pts, double(prm.m()), w, "FFT-M", a2a.arrivals);
   return s;
 }
@@ -299,7 +266,8 @@ sim::Schedule baseline1d_schedule(index_t n, const model::Workload& w, int g) {
 
   // Six phases, each followed by a host-side synchronization: the
   // transpose-heavy structure that makes cuFFTXT latency-bound at small N.
-  auto a1 = chunked_all_to_all(s, g, chunks, pair_bytes, "A2A-1", w, slab_pts, {});
+  const auto peers = all_peers(g);
+  auto a1 = chunked_a2a(s, g, chunks, pair_bytes, "A2A-1", w, slab_pts, {}, peers);
   auto sy1 = global_sync(s, g, chunks, "SYNC", -1.0, a1.arrivals);
   auto f1 = fft_phase(s, g, chunks, slab_pts, double(mfac), w, "FFT-M", sy1);
   std::vector<std::vector<int>> tw((std::size_t)g, std::vector<int>((std::size_t)chunks));
@@ -311,11 +279,11 @@ sim::Schedule baseline1d_schedule(index_t n, const model::Workload& w, int g) {
                        2.0 * slab_pts / chunks * cbytes(w), w.is_double,
                        {f1[(std::size_t)d][(std::size_t)c]});
   auto sy2 = global_sync(s, g, chunks, "SYNC", -1.0, tw);
-  auto a2 = chunked_all_to_all(s, g, chunks, pair_bytes, "A2A-2", w, slab_pts, sy2);
+  auto a2 = chunked_a2a(s, g, chunks, pair_bytes, "A2A-2", w, slab_pts, sy2, peers);
   auto sy3 = global_sync(s, g, chunks, "SYNC", -1.0, a2.arrivals);
   auto f2 = fft_phase(s, g, chunks, slab_pts, double(pfac), w, "FFT-P", sy3);
   auto sy4 = global_sync(s, g, chunks, "SYNC", -1.0, f2);
-  auto a3 = chunked_all_to_all(s, g, chunks, pair_bytes, "A2A-3", w, slab_pts, sy4);
+  auto a3 = chunked_a2a(s, g, chunks, pair_bytes, "A2A-3", w, slab_pts, sy4, peers);
   global_sync(s, g, chunks, "SYNC", -1.0, a3.arrivals);
   return s;
 }
@@ -326,8 +294,8 @@ sim::Schedule dist2dfft_schedule(index_t m, index_t p, const model::Workload& w,
   const double n = double(m) * double(p);
   const double slab_pts = n / g;
   auto f1 = fft_phase(s, g, chunks, slab_pts, double(p), w, "FFT-P", {});
-  auto a2a =
-      chunked_all_to_all(s, g, chunks, n / (double(g) * g) * cbytes(w), "A2A-2D", w, slab_pts, f1);
+  auto a2a = chunked_a2a(s, g, chunks, n / (double(g) * g) * cbytes(w), "A2A-2D", w, slab_pts,
+                         f1, all_peers(g));
   fft_phase(s, g, chunks, slab_pts, double(m), w, "FFT-M", a2a.arrivals);
   return s;
 }
@@ -359,8 +327,8 @@ sim::Schedule fft3d_schedule(index_t n0, index_t n1, index_t n2, const model::Wo
             s.add_kernel(d, "REORIENT", KC::Copy, 0.0, tr_mem, w.is_double,
                          {f0[(std::size_t)d][(std::size_t)c]});
     auto f1 = fft_phase(s, g, chunks, slab_pts, double(n1), w, "FFT-Y", tr);
-    auto a2a = chunked_all_to_all(s, g, chunks, n / (double(g) * g) * cbytes(w), "A2A-3D", w,
-                                  slab_pts, f1);
+    auto a2a = chunked_a2a(s, g, chunks, n / (double(g) * g) * cbytes(w), "A2A-3D", w,
+                           slab_pts, f1, all_peers(g));
     fft_phase(s, g, chunks, slab_pts, double(n2), w, "FFT-Z", a2a.arrivals);
     return s;
   }
@@ -381,11 +349,11 @@ sim::Schedule fft3d_schedule(index_t n0, index_t n1, index_t n2, const model::Wo
     for (int ii = 0; ii < pr; ++ii) col_peers[(std::size_t)d].push_back(ii * pc + j);
   }
   auto f0 = fft_phase(s, g, chunks, slab_pts, double(n0), w, "FFT-X", {});
-  auto row = chunked_sub_a2a(s, g, chunks, n / (double(g) * pc) * cbytes(w), "A2A-ROW", w,
-                             slab_pts, f0, row_peers);
+  auto row = chunked_a2a(s, g, chunks, n / (double(g) * pc) * cbytes(w), "A2A-ROW", w,
+                         slab_pts, f0, row_peers);
   auto f1 = fft_phase(s, g, chunks, slab_pts, double(n1), w, "FFT-Y", row.arrivals);
-  auto col = chunked_sub_a2a(s, g, chunks, n / (double(g) * pr) * cbytes(w), "A2A-COL", w,
-                             slab_pts, f1, col_peers);
+  auto col = chunked_a2a(s, g, chunks, n / (double(g) * pr) * cbytes(w), "A2A-COL", w,
+                         slab_pts, f1, col_peers);
   fft_phase(s, g, chunks, slab_pts, double(n2), w, "FFT-Z", col.arrivals);
   return s;
 }

@@ -274,41 +274,35 @@ index_t Plan1D<T>::size() const {
 
 namespace {
 
-/// One hook for all plan entry points. The flop counter records the model
-/// count 5·n·log2(n) per transform (what the §5 analysis uses), not the
-/// larger operation count of the Bluestein fallback for non-pow2 sizes.
+/// One ledger hook for all plan entry points. Flops are the model count
+/// 5·n·log2(n) per transform (what the §5 analysis uses), not the larger
+/// operation count of the Bluestein fallback for non-pow2 sizes.
 /// `gather_scatter` marks the strided path's extra copy through the line
 /// buffer. Traffic counts data passes only; twiddle/chirp/filter table
 /// reads are excluded (§5.3 convention, same as the FMM operator tables).
 inline void count_transforms(index_t n, bool pow2, index_t bluestein_m, double cx_bytes,
                              index_t count, bool gather_scatter = false) {
-  FMMFFT_COUNT("fft.transforms", count);
-  FMMFFT_COUNT("fft.launches", 1);
-  FMMFFT_COUNT("fft.points", double(n) * double(count));
-  FMMFFT_COUNT("fft.flops", fft_flops(n) * double(count));
-  if (obs::traffic_enabled()) {
-    double rd_cx, wr_cx;  // complex elements per transform
-    if (pow2) {
-      // Each Stockham stage ping-pongs the whole line; odd stage counts add
-      // the copy back into data (see stockham_passes).
-      const double p = double(obs::stockham_passes(ilog2_exact(n)));
-      rd_cx = wr_cx = p * double(n);
-    } else {
-      // Bluestein: chirp-modulate into work (rd n, wr m), two size-m
-      // Stockham transforms, the pointwise filter pass (rd m, wr m), and
-      // the demodulated writeback (rd n, wr n).
-      const double p = double(obs::stockham_passes(ilog2_exact(bluestein_m)));
-      rd_cx = (2.0 * p + 1.0) * double(bluestein_m) + 2.0 * double(n);
-      wr_cx = (2.0 * p + 2.0) * double(bluestein_m) + double(n);
-    }
-    if (gather_scatter) {  // strided gather into the line buffer + scatter
-      rd_cx += 2.0 * double(n);
-      wr_cx += 2.0 * double(n);
-    }
-    obs::TrafficLedger::global().add_rw("fft", rd_cx * double(count) * cx_bytes,
-                                        wr_cx * double(count) * cx_bytes,
-                                        fft_flops(n) * double(count));
+  if (!obs::traffic_enabled()) return;
+  double rd_cx, wr_cx;  // complex elements per transform
+  if (pow2) {
+    // Each Stockham stage ping-pongs the whole line; odd stage counts add
+    // the copy back into data (see stockham_passes).
+    const double p = double(obs::stockham_passes(ilog2_exact(n)));
+    rd_cx = wr_cx = p * double(n);
+  } else {
+    // Bluestein: chirp-modulate into work (rd n, wr m), two size-m
+    // Stockham transforms, the pointwise filter pass (rd m, wr m), and
+    // the demodulated writeback (rd n, wr n).
+    const double p = double(obs::stockham_passes(ilog2_exact(bluestein_m)));
+    rd_cx = (2.0 * p + 1.0) * double(bluestein_m) + 2.0 * double(n);
+    wr_cx = (2.0 * p + 2.0) * double(bluestein_m) + double(n);
   }
+  if (gather_scatter) {  // strided gather into the line buffer + scatter
+    rd_cx += 2.0 * double(n);
+    wr_cx += 2.0 * double(n);
+  }
+  FMMFFT_TRAFFIC_RW("fft", rd_cx * double(count) * cx_bytes, wr_cx * double(count) * cx_bytes,
+                    fft_flops(n) * double(count));
 }
 
 }  // namespace

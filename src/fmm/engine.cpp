@@ -38,10 +38,10 @@ std::string traffic_scope(const std::string& name) {
   return "fmm." + base;
 }
 
-/// Feed one executed stage's exact counts into the metrics registry.
-/// Halo-fill copies are tracked separately so fmm.flops / fmm.mem_bytes /
-/// fmm.launches stay launch-for-launch comparable with
-/// model::exact_fmm_counts (which has no Copy entries).
+/// Feed one executed stage's exact counts and measured seconds into the
+/// traffic ledger. Halo-fill copies go to halo.cyclic (payload read once,
+/// written once) so the fmm.* scopes stay compute-only and launch-for-launch
+/// comparable with model::exact_fmm_counts (which has no Copy entries).
 ///
 /// `f32` engines (the native fp32 shell, and the mixed-precision
 /// translation pipeline under an fp64 shell) append ".f32" to their ledger
@@ -49,28 +49,16 @@ std::string traffic_scope(const std::string& name) {
 /// the §5 cross-check and the per-precision traffic reports stay exact
 /// when two widths coexist in a run. Prefix sums ("fmm.") aggregate both.
 void count_stage(const StageStats& st, bool f32) {
-  if (obs::traffic_enabled()) {
-    const char* suffix = f32 ? ".f32" : "";
-    // Copy stages go to halo.cyclic (payload read once, written once) so
-    // the fmm.* scopes stay compute-only, matching exact_fmm_counts.
-    if (st.kernel == KernelClass::Copy) {
-      obs::TrafficLedger::global().add_rw(std::string("halo.cyclic") + suffix, st.mem_bytes,
-                                          st.mem_bytes, 0.0);
-    } else {
-      double rd = st.bytes_read, wr = st.bytes_written;
-      if (rd == 0 && wr == 0) rd = wr = st.mem_bytes / 2;
-      obs::TrafficLedger::global().add_rw(traffic_scope(st.name) + suffix, rd, wr, st.flops);
-    }
-  }
-  if (!obs::metrics_enabled()) return;
-  if (st.kernel == KernelClass::Copy) {
-    FMMFFT_COUNT("fmm.halo_bytes", st.mem_bytes);
-    return;
-  }
-  FMMFFT_COUNT("fmm.flops", st.flops);
-  FMMFFT_COUNT("fmm.mem_bytes", st.mem_bytes);
-  FMMFFT_COUNT("fmm.launches", st.launches);
-  FMMFFT_HIST("fmm.launch_us", st.seconds * 1e6);
+  const bool copy = st.kernel == KernelClass::Copy;
+  if (!copy) FMMFFT_HIST("fmm.launch_us", st.seconds * 1e6);
+  if (!obs::traffic_enabled()) return;
+  auto& sc = obs::TrafficLedger::global().scope(
+      (copy ? std::string("halo.cyclic") : traffic_scope(st.name)) + (f32 ? ".f32" : ""));
+  if (copy)
+    sc.add(st.mem_bytes, st.mem_bytes, 0.0, 0.0);
+  else
+    sc.add(st.bytes_read, st.bytes_written, 0.0, st.flops);
+  sc.add_seconds(st.seconds);
 }
 
 // S2T tile: 4 rows × 4 vectors = 16 accumulators of AVX-512's 32 registers.

@@ -59,8 +59,8 @@ struct StageStats {
   double seconds = 0;        ///< native wall time of this launch
   // Read/write split of mem_bytes for the traffic ledger. Appended after
   // `seconds` (call sites brace-init the fields above positionally) and
-  // filled by named assignment; zero means "split unknown", in which case
-  // the ledger halves mem_bytes.
+  // filled by record_stage; Copy stages leave both 0 (a copy reads and
+  // writes its whole payload).
   double bytes_read = 0;
   double bytes_written = 0;
 };
@@ -141,7 +141,7 @@ class Engine {
   /// (distinct engines never contend, but the stats vector is also read by
   /// driver-level aggregation while other engines still run).
   /// `bytes_read`/`bytes_written` split st.mem_bytes for the traffic
-  /// ledger; pass 0/0 when only the sum is known (the ledger halves it).
+  /// ledger (every non-Copy stage passes them).
   void record_stage(StageStats st, double seconds, double bytes_read = 0,
                     double bytes_written = 0);
 

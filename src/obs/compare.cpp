@@ -7,7 +7,6 @@
 
 #include "common/math.hpp"
 #include "model/counts.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace_writer.hpp"
 #include "obs/traffic.hpp"
 
@@ -59,15 +58,67 @@ void ModelReport::write_json(std::ostream& os) const {
   jw.end_object();
 }
 
-ModelReport compare_with_model(const fmm::Params& prm, int components, index_t g,
-                               double real_bytes, int runs, double trans_bytes) {
-  // Summation-noise tolerance for counts that must agree exactly.
-  constexpr double kExact = 1e-9;
-  const auto& m = Metrics::global();
+namespace {
+
+using Snapshot = std::map<std::string, TrafficTotals>;
+
+// Totals over all ledger scopes with the given name prefix. Compute scopes
+// carry no comm bytes, so their bytes_moved() is read + written.
+TrafficTotals ledger_sum(const Snapshot& snap, const std::string& prefix) {
+  TrafficTotals s;
+  for (const auto& [name, t] : snap)
+    if (name.compare(0, prefix.size(), prefix) == 0) s += t;
+  return s;
+}
+
+constexpr double kExact = 1e-9;  // summation noise on counts that must agree
+
+/// The checks both distributed FFT stages share, for `runs` transforms over
+/// the complex grid `extents` (`eb` bytes per element) on g devices:
+///  * the exchange payload — slab: every device ships all but its own slab
+///    once, (G-1)/G·N elements in the one `slab_tag` exchange; pencil
+///    (pr > 0): the same permutation factorizes into a row phase moving
+///    (pc-1)/pc·N and a column phase moving (pr-1)/pr·N;
+///  * the batched line FFTs' data passes: summed over devices, one
+///    transform along each extent per line, each reading and writing
+///    stockham_passes full lines. Predictable only for pow2 extents (no
+///    Bluestein configs in the canonical set).
+void check_exchange_and_passes(ModelReport& rep, const Snapshot& snap, const char* slab_tag,
+                               const std::vector<index_t>& extents, index_t g, double eb,
+                               double r, int pr, int pc) {
+  double n = 1, passes = 0;
+  bool pow2 = true;
+  for (index_t e : extents) {
+    n *= double(e);
+    pow2 = pow2 && is_pow2(e);
+    if (pow2) passes += double(stockham_passes(ilog2_exact(e)));
+  }
+  if (pr > 0) {
+    rep.checks.push_back({"traffic.a2a_row_payload", ledger_sum(snap, "comm.A2A-ROW").comm_bytes,
+                          r * double(pc - 1) / double(pc) * n * eb, kExact});
+    rep.checks.push_back({"traffic.a2a_col_payload", ledger_sum(snap, "comm.A2A-COL").comm_bytes,
+                          r * double(pr - 1) / double(pr) * n * eb, kExact});
+  } else {
+    rep.checks.push_back({"traffic.a2a_payload", ledger_sum(snap, slab_tag).comm_bytes,
+                          g > 1 ? r * double(g - 1) / double(g) * n * eb : 0.0, kExact});
+  }
+  if (pow2)
+    rep.checks.push_back({"traffic.fft_bytes", ledger_sum(snap, "fft").bytes_moved(),
+                          r * 2.0 * passes * n * eb, kExact});
+}
+
+}  // namespace
+
+ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
+                                       double real_bytes, int runs, double trans_bytes,
+                                       int pr, int pc) {
+  const auto snap = TrafficLedger::global().snapshot();
   const double r = double(runs), gd = double(g);
+  const double n = double(prm.n);
   // Translation-pipeline width (FMM stages, halo payloads); the shell
   // (A2A, FFT, POST output) stays at real_bytes.
   const double tb = trans_bytes > 0 ? trans_bytes : real_bytes;
+  auto sum = [&](const std::string& prefix) { return ledger_sum(snap, prefix); };
 
   double flops = 0, mem_scalars = 0, launches = 0;
   for (const auto& st : model::exact_fmm_counts(prm, components, g)) {
@@ -77,33 +128,22 @@ ModelReport compare_with_model(const fmm::Params& prm, int components, index_t g
   }
 
   ModelReport rep;
-  auto counter = [&](const std::string& name) { return m.counters_with_prefix(name); };
-  rep.checks.push_back(
-      {"fmm.flops", counter("fmm.flops"), r * gd * flops, kExact});
-  rep.checks.push_back(
-      {"fmm.mem_bytes", counter("fmm.mem_bytes"), r * gd * mem_scalars * tb, kExact});
-  rep.checks.push_back(
-      {"fmm.launches", counter("fmm.launches"), r * gd * launches, 0.0});
+  check_exchange_and_passes(rep, snap, "comm.A2A-2D", {prm.p, prm.m()}, g, 2.0 * real_bytes, r,
+                            pr, pc);
+  // Each of M/G size-P + P/G size-M transforms per device; summed over
+  // devices (or the G = 1 plan) that is exactly 5·N·log2(N).
+  rep.checks.push_back({"traffic.fft_flops", sum("fft").flops, r * 5.0 * n * std::log2(n),
+                        kExact});
 
-  // 2D-FFT stage: per device M/G size-P + P/G size-M transforms; summed
-  // over devices (or the G = 1 plan) that is exactly 5·N·log2(N).
-  const double n = double(prm.n);
-  rep.checks.push_back(
-      {"fft.flops", counter("fft.flops"), r * 5.0 * n * std::log2(n), kExact});
-
-  // Fabric traffic, by collective, against the implementation-exact counts.
   const auto exact = model::exact_fmm_comm(prm, components, g);
-  const double comm_s = counter("fabric.bytes.COMM-S");
-  const double comm_mb = counter("fabric.bytes.COMM-MB");
-  const double comm_ml = counter("fabric.bytes.COMM-M") - comm_mb;
-  const double a2a = counter("fabric.bytes.A2A-2D");
-  rep.checks.push_back({"fabric.COMM-S", comm_s, r * gd * exact.s_halo * tb, kExact});
-  rep.checks.push_back({"fabric.COMM-Ml", comm_ml, r * gd * exact.m_halo * tb, kExact});
-  rep.checks.push_back({"fabric.COMM-MB", comm_mb, r * gd * exact.m_base * tb, kExact});
-  rep.checks.push_back({"fabric.A2A-2D", a2a,
-                        g > 1 ? r * (gd - 1.0) / gd * n * 2.0 * real_bytes : 0.0, kExact});
+  const double comm_s = sum("comm.COMM-S").comm_bytes;
+  const double comm_mb = sum("comm.COMM-MB").comm_bytes;
+  const double comm_ml = sum("comm.COMM-M").comm_bytes - comm_mb;
+  rep.checks.push_back({"traffic.comm_s", comm_s, r * gd * exact.s_halo * tb, kExact});
+  rep.checks.push_back({"traffic.comm_ml", comm_ml, r * gd * exact.m_halo * tb, kExact});
+  rep.checks.push_back({"traffic.comm_mb", comm_mb, r * gd * exact.m_base * tb, kExact});
 
-  // The §5.2 closed forms track the fabric ledger up to two documented
+  // The §5.2 closed forms track the same payloads up to two documented
   // conventions: the source halo ships the p = 0 slice too (factor
   // P/(P-1)) and the allgather's local slab is free (factor (G-1)/G).
   const auto paper = model::paper_fmm_comm(prm, components, g);
@@ -112,128 +152,43 @@ ModelReport compare_with_model(const fmm::Params& prm, int components, index_t g
   rep.checks.push_back({"paper.m_halo", comm_ml, r * gd * paper.m_halo * tb, kExact});
   rep.checks.push_back({"paper.m_base", comm_mb, r * gd * paper.m_base * tb,
                         g > 1 ? 1.0 / gd + 1e-6 : 0.0});
-  return rep;
-}
-
-namespace {
-
-// Sum a field over all ledger scopes with the given name prefix.
-enum Field { kComm, kRw, kFlops };
-
-double ledger_sum(const std::map<std::string, TrafficTotals>& snap, const std::string& prefix,
-                  Field f) {
-  double s = 0;
-  for (const auto& [name, t] : snap) {
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    s += f == kComm ? t.comm_bytes : f == kRw ? t.bytes_read + t.bytes_written : t.flops;
-  }
-  return s;
-}
-
-}  // namespace
-
-ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
-                                       double real_bytes, int runs, double trans_bytes,
-                                       int pr, int pc) {
-  constexpr double kExact = 1e-9;
-  const auto snap = TrafficLedger::global().snapshot();
-  const double r = double(runs), gd = double(g);
-  const double n = double(prm.n);
-  const double tb = trans_bytes > 0 ? trans_bytes : real_bytes;
-
-  auto sum = [&](const std::string& prefix, Field f) { return ledger_sum(snap, prefix, f); };
-
-  double flops = 0, mem_scalars = 0;
-  for (const auto& st : model::exact_fmm_counts(prm, components, g)) {
-    flops += st.flops;
-    mem_scalars += st.mem_scalars;
-  }
-
-  ModelReport rep;
-  // The transpose payload — the §5.3 "exact for A2A" guarantee. Slab: every
-  // device ships all but its own slab once, (G-1)/G · N complex elements in
-  // the one exchange. Pencil: the same permutation factorizes into a row
-  // phase moving (pc-1)/pc·N and a column phase moving (pr-1)/pr·N.
-  if (pr > 0) {
-    rep.checks.push_back({"traffic.a2a_row_payload", sum("comm.A2A-ROW", kComm),
-                          r * double(pc - 1) / double(pc) * n * 2.0 * real_bytes, kExact});
-    rep.checks.push_back({"traffic.a2a_col_payload", sum("comm.A2A-COL", kComm),
-                          r * double(pr - 1) / double(pr) * n * 2.0 * real_bytes, kExact});
-  } else {
-    rep.checks.push_back({"traffic.a2a_payload", sum("comm.A2A-2D", kComm),
-                          g > 1 ? r * (gd - 1.0) / gd * n * 2.0 * real_bytes : 0.0, kExact});
-  }
-  const auto exact = model::exact_fmm_comm(prm, components, g);
-  const double comm_mb = sum("comm.COMM-MB", kComm);
-  rep.checks.push_back({"traffic.comm_s", sum("comm.COMM-S", kComm),
-                        r * gd * exact.s_halo * tb, kExact});
-  rep.checks.push_back({"traffic.comm_ml", sum("comm.COMM-M", kComm) - comm_mb,
-                        r * gd * exact.m_halo * tb, kExact});
-  rep.checks.push_back(
-      {"traffic.comm_mb", comm_mb, r * gd * exact.m_base * tb, kExact});
 
   // FMM kernel traffic: the fmm.* scopes are compute-only (halo copies go
-  // to halo.cyclic), so read+written matches the model's mem_scalars.
-  rep.checks.push_back({"traffic.fmm_bytes", sum("fmm.", kRw),
-                        r * gd * mem_scalars * tb, kExact});
-  rep.checks.push_back({"traffic.fmm_flops", sum("fmm.", kFlops), r * gd * flops, kExact});
-
-  // 2D-FFT stage data passes: summed over devices, M size-P rows plus P
-  // size-M columns, each transform reading and writing stockham_passes
-  // full lines. Predictable only for pow2 factors (no Bluestein configs in
-  // the canonical set).
-  const index_t p = prm.p, m = prm.m();
-  if (is_pow2(p) && is_pow2(m)) {
-    const double passes = double(stockham_passes(ilog2_exact(p))) +
-                          double(stockham_passes(ilog2_exact(m)));
-    rep.checks.push_back({"traffic.fft_bytes", sum("fft", kRw),
-                          r * 2.0 * passes * n * 2.0 * real_bytes, kExact});
-  }
+  // to halo.cyclic), so read+written matches the model's mem_scalars, and
+  // each launch records its scope exactly once.
+  const TrafficTotals fmm = sum("fmm.");
+  rep.checks.push_back({"traffic.fmm_bytes", fmm.bytes_moved(), r * gd * mem_scalars * tb, kExact});
+  rep.checks.push_back({"traffic.fmm_flops", fmm.flops, r * gd * flops, kExact});
+  rep.checks.push_back({"traffic.fmm_launches", fmm.calls, r * gd * launches, 0.0});
 
   // POST sweep (fused shape): reads the C-component T tensor once at the
   // translation width, writes the complex FFT input once at the shell
   // width (identical when the widths agree).
-  rep.checks.push_back({"traffic.post_bytes", sum("post", kRw),
+  rep.checks.push_back({"traffic.post_bytes", sum("post").bytes_moved(),
                         r * n * (double(components) * tb + 2.0 * real_bytes), kExact});
   return rep;
 }
 
 ModelReport compare_fft3d_traffic(index_t n0, index_t n1, index_t n2, index_t g,
                                   double real_bytes, int runs, int pr, int pc) {
-  constexpr double kExact = 1e-9;
   const auto snap = TrafficLedger::global().snapshot();
-  const double r = double(runs), gd = double(g);
+  const double r = double(runs);
   const double n = double(n0) * double(n1) * double(n2);
   const double eb = 2.0 * real_bytes;  // complex element
-  auto sum = [&](const std::string& prefix, Field f) { return ledger_sum(snap, prefix, f); };
 
   ModelReport rep;
+  check_exchange_and_passes(rep, snap, "comm.A2A-3D", {n0, n1, n2}, g, eb, r, pr, pc);
   if (pr > 0) {
-    // Pencil: per-phase fabric payloads, and the ledger's fused pack/unpack
-    // bytes — each phase reads every element once and writes it once.
-    rep.checks.push_back({"traffic.a2a_row_payload", sum("comm.A2A-ROW", kComm),
-                          r * double(pc - 1) / double(pc) * n * eb, kExact});
-    rep.checks.push_back({"traffic.a2a_col_payload", sum("comm.A2A-COL", kComm),
-                          r * double(pr - 1) / double(pr) * n * eb, kExact});
-    rep.checks.push_back({"traffic.a2a_row_bytes", sum("a2a.row.", kRw), r * 2.0 * n * eb,
-                          kExact});
-    rep.checks.push_back({"traffic.a2a_col_bytes", sum("a2a.col.", kRw), r * 2.0 * n * eb,
-                          kExact});
-  } else {
-    // Slab: one G-wide exchange plus the local i0↔i1 reorientation pass.
-    rep.checks.push_back({"traffic.a2a_payload", sum("comm.A2A-3D", kComm),
-                          g > 1 ? r * (gd - 1.0) / gd * n * eb : 0.0, kExact});
-    rep.checks.push_back({"traffic.transpose_bytes", sum("transpose", kRw),
+    // Pencil: the ledger's fused pack/unpack bytes — each phase reads every
+    // element once and writes it once.
+    rep.checks.push_back({"traffic.a2a_row_bytes", ledger_sum(snap, "a2a.row.").bytes_moved(),
                           r * 2.0 * n * eb, kExact});
-  }
-
-  // Three batched FFT phases; each pass reads and writes every line once.
-  if (is_pow2(n0) && is_pow2(n1) && is_pow2(n2)) {
-    const double passes = double(stockham_passes(ilog2_exact(n0))) +
-                          double(stockham_passes(ilog2_exact(n1))) +
-                          double(stockham_passes(ilog2_exact(n2)));
-    rep.checks.push_back({"traffic.fft_bytes", sum("fft", kRw), r * 2.0 * passes * n * eb,
-                          kExact});
+    rep.checks.push_back({"traffic.a2a_col_bytes", ledger_sum(snap, "a2a.col.").bytes_moved(),
+                          r * 2.0 * n * eb, kExact});
+  } else {
+    // Slab: the local i0↔i1 reorientation pass between the line phases.
+    rep.checks.push_back({"traffic.transpose_bytes", ledger_sum(snap, "transpose").bytes_moved(),
+                          r * 2.0 * n * eb, kExact});
   }
   return rep;
 }

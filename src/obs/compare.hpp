@@ -1,5 +1,5 @@
-// Model-vs-measured cross-validation: diff the counters accumulated by the
-// obs hooks during real host execution against the §5 predictions in
+// Model-vs-measured cross-validation: diff the traffic ledger accumulated
+// by the obs hooks during real host execution against the §5 predictions in
 // src/model/counts.*. Observability that doubles as a continuous check of
 // the operation-count model the paper's whole argument (and this repo's
 // timing substitution) rests on.
@@ -37,44 +37,35 @@ struct ModelReport {
   void write_json(std::ostream& os) const;
 };
 
-/// Compare Metrics::global() against the model for `runs` executions of an
-/// FMM-FFT with parameters `prm` on `g` devices (`components` = C,
-/// `real_bytes` = sizeof the working real scalar). Call after the runs, on
-/// metrics collected with obs::enable_metrics() on and no other transforms
-/// in between (obs::reset() gives a clean slate).
+/// Compare TrafficLedger::global() against the §5 model for `runs`
+/// distributed FMM-FFT executions with parameters `prm` on `g` devices
+/// (`components` = C, `real_bytes` = sizeof the working real scalar; any
+/// G >= 1, serial or async executor — the ledger records algorithmic
+/// traffic, so the totals are identical). Requires traffic collected with
+/// obs::enable_traffic() on and a clean ledger (obs::reset()), with no
+/// other transforms in between.
 ///
 /// `trans_bytes` is the byte width of the FMM translation pipeline's real
 /// scalar when it differs from the shell's (mixed precision: 4 under an
 /// 8-byte shell). 0 — the default — means "same as real_bytes". The FMM
 /// stage bytes and the COMM-* halo payloads are predicted at trans_bytes;
 /// the A2A payload, FFT and POST volumes at real_bytes. The per-precision
-/// ".f32" key suffixes the hooks emit are prefix-summed transparently.
+/// ".f32" scope suffixes are prefix-summed transparently.
 ///
-/// Checked, each against an exact accounting (tolerance ~1e-9, pure
-/// floating-point summation noise):
-///  * fmm.flops / fmm.mem_bytes / fmm.launches vs model::exact_fmm_counts
-///  * fft.flops vs the 5·N·log2(N) total of the 2D-FFT stage
-///  * fabric COMM-* bytes vs model::exact_fmm_comm
-///  * fabric A2A-2D bytes vs the single-transpose payload
-/// Plus the paper's §5.2 closed form vs the same fabric bytes at the
-/// documented loose tolerance (the p = 0 slice and local-slab conventions
-/// differ; see model::exact_fmm_comm).
-ModelReport compare_with_model(const fmm::Params& prm, int components, index_t g,
-                               double real_bytes, int runs = 1, double trans_bytes = 0);
-
-/// Compare TrafficLedger::global() against the §5 model for `runs`
-/// distributed FMM-FFT executions (any G >= 1, serial or async executor —
-/// the ledger records algorithmic traffic, so the totals are identical).
-/// Requires traffic collected with obs::enable_traffic() on and a clean
-/// ledger (obs::reset()). `trans_bytes` as in compare_with_model.
-/// All checks are exact (~1e-9):
-///  * comm.A2A-2D payload vs the (G-1)/G·N single-transpose volume
+/// Checked, each exact (~1e-9, pure floating-point summation noise; the
+/// launch count at tolerance 0):
+///  * the 2D-FFT stage's exchange payload (`pr`/`pc` below)
 ///  * comm.COMM-S / COMM-M* / COMM-MB vs model::exact_fmm_comm
-///  * fmm.* bytes (read+written) and flops vs model::exact_fmm_counts
-///  * fft bytes vs the Stockham pass count of the 2D stage (pow2 P, M)
+///  * fmm.* bytes (read+written), flops and calls (one per kernel launch)
+///    vs model::exact_fmm_counts
+///  * fft bytes vs the Stockham pass count of the 2D stage (pow2 P, M), and
+///    fft flops vs its 5·N·log2(N) total
 ///  * post bytes vs the single-sweep volume: the C-component T tensor read
 ///    at the translation width plus the complex FFT input written at the
 ///    shell width
+/// Plus the paper's §5.2 closed forms vs the same comm.COMM-* payloads at
+/// the documented loose tolerances (the p = 0 slice and local-slab
+/// conventions differ; see model::exact_fmm_comm).
 /// `pr`/`pc`: the 2D-FFT stage's decomposition. 0/0 (default) = slab, one
 /// A2A-2D exchange of (G-1)/G·N elements; pr > 0 = the pencil two-phase
 /// exchange over a pr×pc grid, checked as comm.A2A-ROW = (pc-1)/pc·N and

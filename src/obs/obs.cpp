@@ -272,14 +272,6 @@ std::map<std::string, double> Metrics::counters_snapshot() const {
   return out;
 }
 
-double Metrics::counters_with_prefix(const std::string& prefix) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  double s = 0;
-  for (const auto& [name, c] : counters_)
-    if (name.rfind(prefix, 0) == 0) s += c.value();
-  return s;
-}
-
 void Metrics::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lk(mu_);
   JsonWriter jw(os);

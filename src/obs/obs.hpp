@@ -8,9 +8,11 @@
 //  * Spans — RAII scopes (`FMMFFT_SPAN("M2L")`) written to per-thread ring
 //    buffers and collected by the process-wide Recorder, exportable as
 //    chrome://tracing / Perfetto JSON (obs/trace_writer.hpp).
-//  * Metrics — named counters / gauges / histograms (flops, bytes moved,
-//    GEMM calls, kernel-equivalent launches, fabric transfers), dumpable as
-//    JSON and diffable against the §5 model (obs/compare.hpp).
+//  * Metrics — named counters / gauges / histograms for what the traffic
+//    ledger does not hold (executor, pool and health counters, decomposition
+//    gauges, launch-time histograms), dumpable as JSON. Flops, bytes and
+//    fabric payload are counted once, in obs::TrafficLedger
+//    (obs/traffic.hpp), which obs/compare.hpp diffs against the §5 model.
 //
 // Everything is compiled in but runs as a no-op unless enabled: the
 // disabled fast path of every hook is one relaxed atomic load and a branch,
@@ -228,8 +230,6 @@ class Metrics {
 
   /// Counter values by name (zero-valued counters included).
   std::map<std::string, double> counters_snapshot() const;
-  /// Sum of all counters whose name starts with `prefix`.
-  double counters_with_prefix(const std::string& prefix) const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} JSON.
   void write_json(std::ostream& os) const;

@@ -79,10 +79,6 @@ TrafficLedger::Scope& TrafficLedger::scope(const std::string& name) {
   return scopes_[name];  // std::map nodes are pointer-stable
 }
 
-void TrafficLedger::add_rw(const std::string& name, double rd, double wr, double fl) {
-  scope(name).add(rd, wr, 0.0, fl);
-}
-
 void TrafficLedger::add_comm(const std::string& name, double bytes) {
   scope(name).add(0.0, 0.0, bytes, 0.0);
 }
@@ -136,8 +132,9 @@ std::string human_bytes(double b) {
 }
 
 /// Busy seconds covering a primary scope's traffic, if a timed executor lane
-/// maps onto it. The async executor names its lanes/stages; this is the
-/// fixed mapping between those stage tags and ledger scopes.
+/// maps onto it (the fmm.* scopes carry their own stage seconds). The async
+/// executor names its lanes/stages; this is the fixed mapping between those
+/// stage tags and ledger scopes.
 double covering_seconds(const std::string& name,
                         const std::map<std::string, TrafficTotals>& snap) {
   auto sec = [&](const char* s) {
@@ -146,7 +143,6 @@ double covering_seconds(const std::string& name,
   };
   if (name == "fft") return sec("exec.fft");
   if (name == "post") return sec("exec.post");
-  if (name.rfind("fmm.", 0) == 0) return sec("exec.fmm");
   if (name.rfind("a2a.", 0) == 0 || name == "comm.A2A-2D") return sec("exec.a2a");
   return 0.0;
 }
@@ -182,7 +178,10 @@ std::string TrafficLedger::report(const MachineRoofline* cal) const {
   for (const auto& [name, t] : snap) {
     if (!is_aux(name)) row(name, t);
   }
-  row("TOTAL", total(true));
+  // Timed scopes are a subset and may overlap across lanes: no total rate.
+  TrafficTotals all = total(true);
+  all.seconds = 0;
+  row("TOTAL", all);
   for (const auto& [name, t] : snap) {
     if (is_aux(name)) row(name, t);
   }

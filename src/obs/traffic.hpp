@@ -18,7 +18,9 @@
 // FMMFFT_TRAFFIC=<path>, which arms an at-exit JSON dump of the ledger.
 //
 // Scope-name conventions (reporting relies on them):
-//   fmm.S2M, fmm.M2M, ...   FMM stage tensor traffic (level suffixes folded)
+//   fmm.S2M, fmm.M2M, ...   FMM stage tensor traffic and measured stage
+//                           seconds (level suffixes folded); one call per
+//                           kernel launch
 //   fft                     Stockham / Bluestein passes over the data
 //   transpose               permute_mp / transpose_blocked
 //   a2a.pack, a2a.unpack    fused all-to-all: pack = the strided gather's
@@ -84,9 +86,9 @@ struct TrafficTotals {
   double bytes_written = 0;  ///< result bytes the kernels must store
   double comm_bytes = 0;     ///< fabric payload bytes (inter-device)
   double flops = 0;
-  double seconds = 0;  ///< busy seconds, where a timed lane covers the scope
-  double calls = 0;    ///< hook invocations (informational; NOT
-                       ///< deterministic across executor modes)
+  double seconds = 0;  ///< busy seconds, where a timed stage or lane covers it
+  double calls = 0;    ///< hook invocations: one per launch for fmm.*;
+                       ///< elsewhere NOT deterministic across executor modes
 
   double bytes_moved() const { return bytes_read + bytes_written + comm_bytes; }
   /// flops per byte moved; 0 when nothing moved.
@@ -165,8 +167,7 @@ class TrafficLedger {
   /// cache the reference in a magic static per call site.
   Scope& scope(const std::string& name);
 
-  // Dynamic-name slow paths (fabric tags, per-stage FMM names).
-  void add_rw(const std::string& name, double rd, double wr, double fl = 0.0);
+  // Dynamic-name slow paths (fabric tags, executor stage names).
   void add_comm(const std::string& name, double bytes);
   void add_seconds(const std::string& name, double s);
 
@@ -181,8 +182,9 @@ class TrafficLedger {
   void reset();  ///< zero all values, keep the scopes registered
 
   /// Human-readable per-scope table: bytes moved, AI, words/flop, and —
-  /// where busy seconds are known (async executor stages, `cal` given) —
-  /// achieved GB/s and the fraction of the calibrated triad roof.
+  /// where busy seconds are known (FMM stages, async executor stages) —
+  /// achieved GB/s and, `cal` given, the fraction of the calibrated triad
+  /// roof.
   std::string report(const MachineRoofline* cal = nullptr) const;
   /// {"schema": "fmmfft.traffic.v1", "scopes": {...}, "total": {...},
   ///  "aux_total": {...}, "calibration": {...}?} JSON.
@@ -205,7 +207,7 @@ bool write_traffic_file(const std::string& path);
 // ---------------------------------------------------------------------------
 // Hook macros — the only things hot paths touch. `name` must be a string
 // literal (the registry lookup happens once per call site); dynamic names go
-// through TrafficLedger::add_rw / add_comm.
+// through TrafficLedger::scope / add_comm.
 
 #ifdef FMMFFT_OBS_DISABLE
 #define FMMFFT_TRAFFIC_RW(name, rd, wr, flops) ((void)0)

@@ -34,7 +34,7 @@ class Fabric {
   /// Move `count` elements from device `src` to device `dst`. Self-copies
   /// are local and not recorded as traffic. Payloads whose real component
   /// is 4 bytes wide (fp32 shells, and the mixed-precision multipole/source
-  /// halos under an fp64 shell) land under ".f32"-suffixed metric/traffic
+  /// halos under an fp64 shell) land under ".f32"-suffixed traffic-ledger
   /// keys, so every key holds bytes at exactly one element width and the
   /// §5 cross-check stays exact when widths coexist in one run. The span
   /// and the Transfer ledger keep the plain tag (message identity, not
@@ -51,8 +51,8 @@ class Fabric {
 
   /// Account a transfer whose payload already moved zero-copy (the fused
   /// all-to-all scatters producer slabs straight into consumer layouts, so
-  /// there is no contiguous message to memmove). Ledger entries, metrics
-  /// and traffic-ledger comm bytes are identical to send()'s; self-pairs
+  /// there is no contiguous message to memmove). Ledger entries and
+  /// traffic-ledger comm bytes are identical to send()'s; self-pairs
   /// are local placement and not recorded, like self send()s.
   /// `f32_payload` keys the bytes per element width like send() does.
   void record(int src, int dst, double bytes, const std::string& tag,
@@ -73,18 +73,9 @@ class Fabric {
       std::lock_guard<std::mutex> lk(mu_);
       ledger_.push_back({src, dst, bytes, tag});
     }
-    FMMFFT_COUNT("fabric.sends", 1);
-    FMMFFT_COUNT("fabric.bytes", bytes);
-    // Per-tag byte counters feed obs::compare_with_model; the name is
-    // dynamic, so this bypasses the static-reference macro. The traffic
-    // ledger mirrors the same convention: payload bytes, off-device only,
-    // one element width per key.
-    if (!obs::metrics_enabled() && !obs::traffic_enabled()) return;
+    if (!obs::traffic_enabled()) return;
     const std::string key = f32 ? tag + ".f32" : tag;
-    if (obs::metrics_enabled())
-      obs::Metrics::global().counter("fabric.bytes." + key).add(bytes);
-    if (obs::traffic_enabled())
-      obs::TrafficLedger::global().add_comm("comm." + key, bytes);
+    obs::TrafficLedger::global().add_comm("comm." + key, bytes);
   }
 
  public:

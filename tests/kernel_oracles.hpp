@@ -1,6 +1,6 @@
-// Test-only oracles for the FMM engine's custom kernels.
+// Test-only oracles for the FMM engine's custom kernels and the blocked GEMM.
 //
-// Each oracle recomputes a stage from the engine's public tensor accessors
+// Each FMM oracle recomputes a stage from the engine's public tensor accessors
 // and operator builders with plain scalar loops. It keeps the production
 // kernel's per-element accumulation order, so a correct fast kernel matches
 // it bit for bit (the tests memcmp). Compile the including target with FP
@@ -10,9 +10,31 @@
 
 #include <vector>
 
+#include "blas/blas.hpp"
 #include "common/math.hpp"
 #include "fmm/engine.hpp"
 #include "fmm/operators.hpp"
+
+namespace fmmfft::blas {
+
+/// Naive triple-loop GEMM, C := alpha·op(A)·op(B) + beta·C column-major, the
+/// reference the blocked microkernel paths are validated against (to a
+/// tolerance: the blocked kernels sum k in a different order).
+template <typename T>
+void gemm_reference(Op transa, Op transb, index_t m, index_t n, index_t k, T alpha, const T* a,
+                    index_t lda, const T* b, index_t ldb, T beta, T* c, index_t ldc) {
+  const auto at = [](const T* x, index_t ld, Op t, index_t i, index_t j) {
+    return t == Op::N ? x[i + j * ld] : x[j + i * ld];
+  };
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      T s = 0;
+      for (index_t l = 0; l < k; ++l) s += at(a, lda, transa, i, l) * at(b, ldb, transb, l, j);
+      c[i + j * ldc] = alpha * s + beta * c[i + j * ldc];
+    }
+}
+
+}  // namespace fmmfft::blas
 
 namespace fmmfft::fmm {
 

@@ -11,7 +11,9 @@
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "kernel_oracles.hpp"
 #include "obs/obs.hpp"
+#include "obs/traffic.hpp"
 
 namespace fmmfft::blas {
 namespace {
@@ -280,27 +282,31 @@ TEST(BatchedGemmSharedB, AlphaZeroAndFloatCoverage) {
 }
 
 TEST(BatchedGemmSharedB, FlopsCountedOnceAtEntry) {
-  // obs::compare_with_model cross-checks measured counters against the
-  // model, so blas.flops must be exactly batch · gemm_flops per call — added
-  // once at the public entry point, by BOTH dispatch paths (the fused
-  // shared-B path and the per-item loop), with no inner double-counting.
+  // obs::compare_traffic_with_model cross-checks the ledger against the
+  // model, so blas.gemm_batched must carry exactly batch · gemm_flops per
+  // call — added once at the public entry point, by BOTH dispatch paths (the
+  // fused shared-B path and the per-item loop), with no inner double-counting.
+  obs::disable();
+  obs::reset();
   obs::enable_metrics(true);
-  auto& flops = obs::Metrics::global().counter("blas.flops");
+  obs::enable_traffic(true);
   auto& fused = obs::Metrics::global().counter("blas.batched_fused");
+  const auto flops = [] {
+    const auto snap = obs::TrafficLedger::global().snapshot();
+    return snap.at("blas.gemm_batched").flops;
+  };
   const index_t m = 10, n = 6, k = 7, batch = 5;
   auto a = random_vec<double>(m * k * batch, 95);
   auto b = random_vec<double>(k * n * batch, 96);
   std::vector<double> c(static_cast<std::size_t>(m * n * batch), 0.0);
-  flops.reset();
-  fused.reset();
   gemm_strided_batched(Op::N, Op::N, m, n, k, 1.0, a.data(), m, m * k, b.data(), k, 0, 0.0,
                        c.data(), m, m * n, batch);
-  EXPECT_DOUBLE_EQ(flops.value(), double(batch) * gemm_flops(m, n, k));
+  EXPECT_DOUBLE_EQ(flops(), double(batch) * gemm_flops(m, n, k));
   EXPECT_DOUBLE_EQ(fused.value(), 1.0);
-  flops.reset();
+  obs::TrafficLedger::global().reset();
   gemm_strided_batched(Op::N, Op::N, m, n, k, 1.0, a.data(), m, m * k, b.data(), k, k * n, 0.0,
                        c.data(), m, m * n, batch);
-  EXPECT_DOUBLE_EQ(flops.value(), double(batch) * gemm_flops(m, n, k));
+  EXPECT_DOUBLE_EQ(flops(), double(batch) * gemm_flops(m, n, k));
   EXPECT_DOUBLE_EQ(fused.value(), 1.0);  // per-item path is not "fused"
   obs::disable();
   obs::reset();

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -18,6 +19,7 @@
 
 #include "blas/blas.hpp"
 #include "common/rng.hpp"
+#include "core/fmmfft.hpp"
 #include "dist/collectives.hpp"
 #include "dist/dfmmfft.hpp"
 #include "dist_oracles.hpp"
@@ -279,7 +281,10 @@ TEST(Ledger, MixedTrafficMatchesModelAndHalvesCommBytes) {
     for (const auto& [name, t] : TrafficLedger::global().snapshot()) {
       if (name.rfind("comm.COMM-", 0) == 0) sums.fmm_comm += t.comm_bytes;
       if (name.rfind("comm.A2A-2D", 0) == 0) sums.a2a += t.comm_bytes;
-      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".f32") == 0)
+      // reset() keeps scopes registered at zero, so an earlier test's
+      // .f32 keys stay in the snapshot: only ones with bytes count.
+      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".f32") == 0 &&
+          t.bytes_moved() > 0)
         sums.any_f32 = true;
     }
     return sums;
@@ -292,6 +297,38 @@ TEST(Ledger, MixedTrafficMatchesModelAndHalvesCommBytes) {
   EXPECT_TRUE(mixed.any_f32);
   EXPECT_EQ(mixed.fmm_comm, fp64.fmm_comm / 2);  // exact byte counts
   EXPECT_EQ(mixed.a2a, fp64.a2a);                // shell width untouched
+}
+
+TEST(Ledger, FmmStagesReportOwnSeconds) {
+  // Every FMM stage carries its own measured seconds, single-node and
+  // distributed, so the report's GB/s is that stage's bytes over its own
+  // time — not over a shared executor bucket.
+  const fmm::Params prm{1 << 14, 64, 8, 2, 18};
+  using In = std::complex<double>;
+  std::vector<In> x(std::size_t(prm.n)), y(x.size());
+  fill_uniform(x.data(), prm.n, 5);
+  for (int g : {1, 2}) {
+    TrafficSession s;
+    if (g == 1)
+      core::FmmFft<In>(prm).execute(x.data(), y.data());
+    else
+      dist::DistFmmFft<In>(prm, g).execute(x.data(), y.data());
+    const std::string report = TrafficLedger::global().report();
+    int stages = 0;
+    for (const auto& [name, t] : TrafficLedger::global().snapshot()) {
+      if (name.rfind("fmm.", 0) != 0 || t.bytes_moved() == 0) continue;
+      ++stages;
+      EXPECT_GT(t.seconds, 0.0) << name << " g=" << g;
+      // The scope's report row ends in its rate: bytes / own seconds.
+      const auto row = report.find("  " + name + " ");
+      ASSERT_NE(row, std::string::npos) << name;
+      const std::string line = report.substr(row, report.find('\n', row) - row);
+      char want[32];
+      std::snprintf(want, sizeof want, "  %7.2f GB/s", t.bytes_moved() / t.seconds / 1e9);
+      EXPECT_NE(line.find(want), std::string::npos) << line << " vs" << want << " g=" << g;
+    }
+    EXPECT_GE(stages, 8) << "g=" << g;  // S2M M2M M2L M2L-B REDUCE L2L L2T S2T
+  }
 }
 
 TEST(Disabled, TrafficHooksDoNotAllocate) {
