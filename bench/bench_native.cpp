@@ -97,6 +97,24 @@ void bench_fft_batched(const std::string& name, index_t n, index_t batch) {
   record(name, "mpoints_per_s", double(n) * double(batch) / sec / 1e6, sec);
 }
 
+/// The lane FFT's same-process speedup over the one-line oracle it replaced
+/// (tests/kernel_oracles.hpp), both on one thread over the same lines, so
+/// tools/bench_compare.py fails the row if the lane kernel ever loses.
+template <typename T>
+void bench_fft_oracle_ratio(const std::string& name, index_t n, index_t batch) {
+  ThreadPool::ScopedSerial serial;
+  Buffer<std::complex<T>> data(n * batch);
+  fill_uniform(data.data(), n * batch, 5);
+  fft::Plan1D<T> plan(n);
+  const double sec = time_best(
+      [&] { plan.execute_batched(data.data(), batch, fft::Direction::Forward); });
+  const fft::StockhamOracle<T> oracle(n);
+  const double ref = time_best([&] {
+    for (index_t g = 0; g < batch; ++g) oracle(data.data() + g * n, false);
+  });
+  record(name, "ratio", ref / sec, sec);
+}
+
 void bench_transpose(const std::string& name, index_t rows, index_t cols) {
   using Cx = std::complex<double>;
   Buffer<Cx> x(rows * cols), y(rows * cols);
@@ -472,6 +490,8 @@ int main(int argc, char** argv) {
   bench_fft_batched<double>("fft_f64_16384x16", 16384, 16);
   bench_fft_batched<float>("fft_f32_4096x64", 4096, 64);
   bench_fft_batched<double>("fft_f64_blue1000x64", 1000, 64);
+  bench_fft_oracle_ratio<double>("fft_f64_4096x64_oracle_ratio", 4096, 64);
+  bench_fft_oracle_ratio<float>("fft_f32_4096x64_oracle_ratio", 4096, 64);
 
   // The Π_{M,P} permutation / Plan2D transpose primitive: cache-oblivious
   // kernel, the pre-fusion 32×32 reference, the in-place square variant,

@@ -63,7 +63,7 @@ void print_usage(const char* argv0) {
       "  --log2n K              transform size n = 2^K (K in [10, 26])\n"
       "  --precision c64|c32|f64|f32   input element type (default c64)\n"
       "  --devices G            split the run across G simulated devices\n"
-      "  --p P --ml ML --b B --q Q     pin the FMM plan explicitly\n"
+      "  --p P --ml ML --b B --q Q     pin the FMM plan explicitly (all four together)\n"
       "  --eps E                or derive the plan from a target error (default 1e-12)\n"
       "  --seed S               RNG seed for the input vector\n"
       "\n"
@@ -111,6 +111,7 @@ void print_usage(const char* argv0) {
 
 Options parse(int argc, char** argv) {
   Options o;
+  int pins = 0;  // how many of --p/--ml/--b/--q were given
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -142,10 +143,10 @@ Options parse(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--log2n")) o.log2n = std::atoi(need("--log2n"));
     else if (!std::strcmp(argv[i], "--precision")) o.precision = need("--precision");
     else if (!std::strcmp(argv[i], "--devices")) o.devices = std::atoi(need("--devices"));
-    else if (!std::strcmp(argv[i], "--p")) o.p = std::atoll(need("--p"));
-    else if (!std::strcmp(argv[i], "--ml")) o.ml = std::atoll(need("--ml"));
-    else if (!std::strcmp(argv[i], "--b")) o.b = std::atoi(need("--b"));
-    else if (!std::strcmp(argv[i], "--q")) o.q = std::atoi(need("--q"));
+    else if (!std::strcmp(argv[i], "--p")) o.p = std::atoll(need("--p")), ++pins;
+    else if (!std::strcmp(argv[i], "--ml")) o.ml = std::atoll(need("--ml")), ++pins;
+    else if (!std::strcmp(argv[i], "--b")) o.b = std::atoi(need("--b")), ++pins;
+    else if (!std::strcmp(argv[i], "--q")) o.q = std::atoi(need("--q")), ++pins;
     else if (!std::strcmp(argv[i], "--eps")) o.eps = std::atof(need("--eps"));
     else if (!std::strcmp(argv[i], "--simulate")) o.simulate = need("--simulate");
     else if (!std::strcmp(argv[i], "--seed")) o.seed = std::strtoull(need("--seed"), nullptr, 10);
@@ -154,6 +155,22 @@ Options parse(int argc, char** argv) {
   if (o.fft3d.empty() && (o.log2n < 10 || o.log2n > 26)) {
     std::printf("--log2n must be in [10, 26] for native execution\n");
     std::exit(2);
+  }
+  // The four flags pin the plan together: a partial pin would silently run
+  // the suggested plan instead. A full pin is validated here, so an
+  // inadmissible plan is a diagnostic and exit 2, not an abort mid-run.
+  if (pins > 0 && pins < 4) {
+    std::printf("--p, --ml, --b and --q pin the plan together: give all four, or none to "
+                "let --eps pick the plan\n");
+    std::exit(2);
+  }
+  if (pins == 4 && o.fft3d.empty()) {
+    try {
+      fmm::Params{index_t(1) << o.log2n, o.p, o.ml, o.b, o.q}.validate_distributed(o.devices);
+    } catch (const std::exception& e) {
+      std::printf("invalid plan: %s\n", e.what());
+      std::exit(2);
+    }
   }
   // --decomp/--grid route through the obs::env registry:
   // validate here for an early diagnostic, then publish as the env knobs so

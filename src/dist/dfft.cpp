@@ -116,10 +116,12 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
                                                      const exec::DeviceLanes& lanes,
                                                      const std::vector<std::complex<T>*>& slabs,
                                                      sim::Fabric& fabric,
-                                                     const std::vector<exec::TaskId>& ready) {
+                                                     const std::vector<exec::TaskId>& ready,
+                                                     const std::vector<std::complex<T>*>& outs) {
   using Cx = std::complex<T>;
   FMMFFT_CHECK((index_t)slabs.size() == g_);
   FMMFFT_CHECK(ready.empty() || (int)ready.size() == g_);
+  FMMFFT_CHECK(outs.empty() || (int)outs.size() == g_);
   const index_t mg = m_ / g_, pg = p_ / g_, slab = m_ * p_ / g_;
   // Same chunk granularity the simulated schedule pipelines with
   // (schedules.cpp chunk_count): enough chunks that a copy can start while
@@ -147,8 +149,9 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
     submit_slab_exchange(graph, lanes, slabs, fabric, nc, x);
 
   // (c) Column FFTs per device once every fragment of its scratch slab has
-  // arrived (join meta-task), then the slab write-back — which must also
-  // wait for every pack that still reads this device's slab (WAR hazard).
+  // arrived (join meta-task), then the write-back into `outs[r]` or the
+  // slab — which must also wait for every pack that still reads this
+  // device's slab (WAR hazard).
   std::vector<exec::TaskId> terminal((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     const exec::TaskId join =
@@ -158,7 +161,7 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
     std::vector<exec::TaskId> deps = detail::submit_line_ffts(
         graph, lanes, r, "fftm", "2DFFT-M", plan_m_, sc[(std::size_t)r], pg, 1, nc, {join});
     deps.insert(deps.end(), x.readers[(std::size_t)r].begin(), x.readers[(std::size_t)r].end());
-    Cx* dst = slabs[(std::size_t)r];
+    Cx* dst = (outs.empty() ? slabs : outs)[(std::size_t)r];
     const Cx* src = sc[(std::size_t)r];
     terminal[(std::size_t)r] = graph.submit(
         "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},

@@ -137,13 +137,15 @@ class Dist2dFft {
   /// tasks for the exchange (one phase for slab, row then column phase for
   /// pencil), then column-FFT chunks — so copies overlap neighbouring FFT
   /// chunks exactly as dist::fft_schedule models.
-  /// `ready[r]` (optional) gates device r's first task; returns the
-  /// per-device terminal task (slab writes complete when it finishes).
+  /// `ready[r]` (optional) gates device r's first task. Device r's result
+  /// is written back into `outs[r]` (default: in place, into `slabs[r]`);
+  /// returns the per-device terminal task (the write-back).
   std::vector<exec::TaskId> submit_slabs(exec::TaskGraph& graph,
                                          const exec::DeviceLanes& lanes,
                                          const std::vector<std::complex<T>*>& slabs,
                                          sim::Fabric& fabric,
-                                         const std::vector<exec::TaskId>& ready = {});
+                                         const std::vector<exec::TaskId>& ready = {},
+                                         const std::vector<std::complex<T>*>& outs = {});
 
   const sim::Fabric& fabric() const { return fabric_; }
   model::Decomp decomp() const { return decomp_; }

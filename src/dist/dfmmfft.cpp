@@ -250,20 +250,12 @@ void DistFmmFft<InT>::execute_t(const InT* in, Out* out) {
                                         [this, r] { post_slab_t<ER>(r); });
   }
 
-  // Distributed 2D FFT rides the same graph; each device's slab store waits
-  // only for that device's write-back.
-  std::vector<Out*> sp;
+  // Distributed 2D FFT rides the same graph; each device's write-back lands
+  // straight in its slice of `out`.
+  std::vector<Out*> sp, op;
   for (auto& s : slabs_) sp.push_back(s.data());
-  const std::vector<exec::TaskId> terminal = fft2d_.submit_slabs(graph, lanes, sp, fabric_, post);
-  for (int r = 0; r < g_; ++r) {
-    Out* dst = out + r * slab_n;
-    const Out* src = sp[(std::size_t)r];
-    graph.submit(dev("store", r), {lanes.compute(r), /*ordered=*/true, "fft"},
-                 [dst, src, slab_n] {
-                   std::memcpy(dst, src, sizeof(Out) * static_cast<std::size_t>(slab_n));
-                 },
-                 {terminal[(std::size_t)r]});
-  }
+  for (int r = 0; r < g_; ++r) op.push_back(out + r * slab_n);
+  fft2d_.submit_slabs(graph, lanes, sp, fabric_, post, op);
 
   // Auto keys off the per-device slab: below the floor the pooled drain's
   // wake-ups cost more than the compute/copy overlap they buy.

@@ -3,9 +3,32 @@
 // Power-of-two transforms run radix-4 Stockham stages (one radix-2 cleanup
 // stage first when log2(n) is odd): a radix-4 pass does the work of two
 // radix-2 passes with 3/4 of the twiddle multiplies and half the sweeps
-// over the data. Butterflies use explicit real/imaginary arithmetic —
-// std::complex operator* compiles to a __muldc3 libcall (inf/NaN recovery
-// branches) on GCC/Clang, which would dominate the inner loop.
+// over the data.
+//
+// One kernel, `stockham<T, V, Inv>`, serves every line; its lane type V
+// picks how many lines one butterfly transforms:
+//   * V = T: one line stored as std::complex<T> — lone lines, batch tails
+//     shorter than VL, sizes below 4·VL or above kLaneMaxN, and
+//     Bluestein's transforms.
+//     Once a stage's sub-transforms are VL long, its butterflies run VL of
+//     them at once (the Run operand: one load splits VL consecutive
+//     elements into re/im lanes).
+//   * V = simd::NativeVec<T>::vec: VL lines at once (8 fp64 or 16 fp32 on
+//     AVX-512). Element i of the VL lines is a split re/im pair of T-vectors
+//     in a lane block leased from the thread's ScratchArena, so every
+//     butterfly is full-width vector arithmetic with a broadcast twiddle and
+//     no shuffles. The first stage reads the lines straight from their AoS
+//     storage and the last writes them back, VL·VL register tiles at a time
+//     (the transposition is fused); when the stage count is odd the
+//     transposition is its own pass, the one the one-line kernel spends on
+//     its copy. Both widths thus make exactly obs::stockham_passes passes.
+//
+// Every lane does the operations the one-line kernel does, in the same
+// order, and the rounding is spelled out rather than left to the compiler:
+// fused products are explicit fma calls and products that round alone pass
+// through rounded(), so no contraction setting or vectorizer pattern can
+// change a bit. A line's output bits thus do not depend on the width,
+// batch, chunking or pool width that transformed it.
 //
 // Plans are thread-safe: per-execution scratch comes from the thread-local
 // ScratchArena, so any number of threads may execute one shared plan —
@@ -14,9 +37,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
 #include <mutex>
+#include <type_traits>
+#include <utility>
 
+#include "blas/simd.hpp"
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -31,12 +56,208 @@ namespace {
 template <typename T>
 using Cx = std::complex<T>;
 
-/// Complex multiply without the __muldc3 libcall.
+/// Lane vector of the multi-line kernel and its width in lines.
 template <typename T>
-inline Cx<T> cmul(Cx<T> a, Cx<T> b) {
-  return Cx<T>(a.real() * b.real() - a.imag() * b.imag(),
-               a.real() * b.imag() + a.imag() * b.real());
+using LaneVec = typename simd::NativeVec<T>::vec;
+template <typename T>
+constexpr index_t kLanes = index_t(sizeof(LaneVec<T>) / sizeof(T));
+
+/// Largest size the lane path takes: its two lane blocks (2·VL·n complex,
+/// 1 MiB for fp64 at VL = 8) still fit in L2. Larger lines run one at a
+/// time, ping-ponging within their own length; at n = 16384 that measured
+/// faster than a lane group.
+constexpr index_t kLaneMaxN = index_t(1) << 12;
+
+/// Where the ISA has a fused multiply-add, twiddle multiplies fuse one
+/// product (see cmul); elsewhere every product rounds on its own.
+#if defined(FP_FAST_FMA) && defined(FP_FAST_FMAF)
+constexpr bool kHasFma = true;
+#else
+constexpr bool kHasFma = false;
+#endif
+
+/// One complex value per lane, split into real and imaginary lane vectors.
+template <typename V>
+struct CV {
+  V re, im;
+};
+
+template <typename T, typename V>
+inline V splat(T s) {
+  if constexpr (std::is_same_v<V, T>) {
+    return s;
+  } else {
+    V v{};
+    for (index_t l = 0; l < kLanes<T>; ++l) v[l] = s;
+    return v;
+  }
 }
+
+/// a·b + c rounded once, lane by lane (one vfmadd at native width).
+template <typename T, typename V>
+inline V fmadd(V a, V b, V c) {
+  if constexpr (std::is_same_v<V, T>) {
+    return std::fma(a, b, c);
+  } else {
+    V r{};
+    for (index_t l = 0; l < kLanes<T>; ++l) r[l] = std::fma(a[l], b[l], c[l]);
+    return r;
+  }
+}
+
+/// v, rounded and opaque to the optimizer: a product passed through here
+/// can be neither contracted (the library builds with -ffp-contract=fast)
+/// nor regrouped into the vectorizer's complex-multiply pattern, which
+/// fuses one product even under -ffp-contract=off.
+template <typename V>
+inline V rounded(V v) {
+#if defined(__GNUC__) && defined(__x86_64__) && defined(__AVX512F__)
+  asm("" : "+v"(v));
+#elif defined(__GNUC__) && defined(__x86_64__)
+  asm("" : "+x"(v));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  asm("" : "+w"(v));
+#elif defined(__GNUC__)
+  asm("" : "+m"(v));
+#endif
+  return v;
+}
+
+/// x·(wr + i·wi) with one rounding rule for every lane width. With `Fuse`
+/// (and a hardware FMA) the first product of each part is fused:
+///   re = fma(x.re, wr, −x.im·wi),  im = fma(x.re, wi, x.im·wr);
+/// otherwise each product rounds on its own. These are the roundings the
+/// fp64 kernel has always produced, kept so its outputs stay bit-stable.
+template <bool Fuse, typename T, typename V>
+inline CV<V> cmul(CV<V> x, V wr, V wi) {
+  if constexpr (Fuse && kHasFma)
+    return {fmadd<T>(x.re, wr, -(x.im * wi)), fmadd<T>(x.re, wi, x.im * wr)};
+  else
+    return {rounded(x.re * wr) - rounded(x.im * wi), rounded(x.re * wi) + rounded(x.im * wr)};
+}
+
+template <typename V>
+inline CV<V> operator+(CV<V> a, CV<V> b) {
+  return {a.re + b.re, a.im + b.im};
+}
+template <typename V>
+inline CV<V> operator-(CV<V> a, CV<V> b) {
+  return {a.re - b.re, a.im - b.im};
+}
+
+/// VL·VL transpose of r (row l → column l), log2(VL) rounds of pairwise
+/// interleaves; each interleave is one two-source lane permute.
+template <typename V, std::size_t... I>
+inline void transpose(V* r, std::index_sequence<I...>) {
+  constexpr std::size_t vl = sizeof...(I);
+  for (std::size_t round = 1; round < vl; round *= 2) {
+    V t[vl]{};
+    for (std::size_t i = 0; i < vl / 2; ++i) {
+      t[2 * i] = __builtin_shufflevector(r[i], r[i + vl / 2], (I % 2 ? vl : 0) + I / 2 ...);
+      t[2 * i + 1] =
+          __builtin_shufflevector(r[i], r[i + vl / 2], (I % 2 ? vl : 0) + vl / 2 + I / 2 ...);
+    }
+    for (std::size_t i = 0; i < vl; ++i) r[i] = t[i];
+  }
+}
+
+/// VL consecutive std::complex<T> at p as one lane value: two unaligned
+/// loads, split into re and im lanes.
+template <typename T, std::size_t... I>
+inline CV<LaneVec<T>> load_run(const Cx<T>* p, std::index_sequence<I...> = {}) {
+  if constexpr (sizeof...(I) == 0) {
+    return load_run(p, std::make_index_sequence<std::size_t(kLanes<T>)>());
+  } else {
+    using U = typename simd::NativeVec<T>::vec_u;
+    const T* q = reinterpret_cast<const T*>(p);
+    const LaneVec<T> lo = *reinterpret_cast<const U*>(q);
+    const LaneVec<T> hi = *reinterpret_cast<const U*>(q + kLanes<T>);
+    return {__builtin_shufflevector(lo, hi, 2 * I...),
+            __builtin_shufflevector(lo, hi, 2 * I + 1 ...)};
+  }
+}
+
+/// The inverse of load_run: interleave v's lanes back into p[0 .. VL).
+template <typename T, std::size_t... I>
+inline void store_run(Cx<T>* p, CV<LaneVec<T>> v, std::index_sequence<I...> = {}) {
+  if constexpr (sizeof...(I) == 0) {
+    store_run(p, v, std::make_index_sequence<std::size_t(kLanes<T>)>());
+  } else {
+    using U = typename simd::NativeVec<T>::vec_u;
+    constexpr std::size_t vl = sizeof...(I);
+    T* q = reinterpret_cast<T*>(p);
+    *reinterpret_cast<U*>(q) = __builtin_shufflevector(v.re, v.im, (I % 2 ? vl : 0) + I / 2 ...);
+    *reinterpret_cast<U*>(q + vl) =
+        __builtin_shufflevector(v.re, v.im, (I % 2 ? vl : 0) + vl / 2 + I / 2 ...);
+  }
+}
+
+// Stage operands. load(i)/store(i) move element i of the operand as one
+// CV<V>; consecutive q of a stage are kStep elements apart. Lines, which
+// transposes VL lines into lanes, moves kTile consecutive elements at once
+// instead (load_tile/store_tile).
+
+/// One line of std::complex<T>, for the one-line kernel (V = T).
+template <typename T>
+struct Line {
+  static constexpr index_t kStep = 1, kTile = 1;
+  Cx<T>* p;
+  CV<T> load(index_t i) const { return {p[i].real(), p[i].imag()}; }
+  void store(index_t i, CV<T> v) const { p[i] = Cx<T>(v.re, v.im); }
+};
+
+/// VL lines of std::complex<T> at pitch `ld` (element i of line l is
+/// p[l·ld + i]), moved VL consecutive elements at a time through a VL·VL
+/// register transpose: tile element e holds element i + e of every line.
+template <typename T>
+struct Lines {
+  using V = LaneVec<T>;
+  static constexpr index_t kTile = kLanes<T>;
+  Cx<T>* p;
+  index_t ld;
+
+  void load_tile(index_t i, CV<V>* out) const {
+    V re[kTile]{}, im[kTile]{};
+    for (index_t l = 0; l < kTile; ++l) {
+      const CV<V> run = load_run(p + l * ld + i);
+      re[l] = run.re;
+      im[l] = run.im;
+    }
+    transpose(re, std::make_index_sequence<std::size_t(kTile)>());
+    transpose(im, std::make_index_sequence<std::size_t(kTile)>());
+    for (index_t e = 0; e < kTile; ++e) out[e] = {re[e], im[e]};
+  }
+  void store_tile(index_t i, const CV<V>* in) const {
+    V re[kTile]{}, im[kTile]{};
+    for (index_t e = 0; e < kTile; ++e) {
+      re[e] = in[e].re;
+      im[e] = in[e].im;
+    }
+    transpose(re, std::make_index_sequence<std::size_t(kTile)>());
+    transpose(im, std::make_index_sequence<std::size_t(kTile)>());
+    for (index_t l = 0; l < kTile; ++l) store_run(p + l * ld + i, CV<V>{re[l], im[l]});
+  }
+};
+
+/// A lane block: element i of VL lines as one CV<V>.
+template <typename V>
+struct Lanes {
+  static constexpr index_t kStep = 1, kTile = 1;
+  CV<V>* p;
+  CV<V> load(index_t i) const { return p[i]; }
+  void store(index_t i, CV<V> v) const { p[i] = v; }
+};
+
+/// One line with VL consecutive elements as lanes: element i is the run
+/// p[i .. i+VL), so a stage steps q by VL. Vectorizes a lone line's stages
+/// once their sub-transforms are at least VL long.
+template <typename T>
+struct Run {
+  static constexpr index_t kStep = kLanes<T>, kTile = 1;
+  Cx<T>* p;
+  CV<LaneVec<T>> load(index_t i) const { return load_run(p + i); }
+  void store(index_t i, CV<LaneVec<T>> v) const { store_run(p + i, v); }
+};
 
 /// Twiddle tables for the mixed radix-4/radix-2 Stockham schedule of a pow2
 /// transform. When log2(n) is odd the first stage is radix-2 (storing
@@ -85,74 +306,133 @@ struct Twiddles {
   }
 };
 
-/// One pow2 Stockham transform: ping-pongs between data and scratch,
-/// leaving the result in data. `Inv` selects the conjugated twiddles.
-template <typename T, bool Inv>
-void stockham_pow2(Cx<T>* data, Cx<T>* scratch, index_t n, const Twiddles<T>& tw) {
-  if (n == 1) return;
-  Cx<T>* src = data;
-  Cx<T>* dst = scratch;
-  index_t s = 1;
-  for (const auto& st : tw.stages) {
-    const Cx<T>* wstage = tw.w.data() + st.off;
-    if (st.radix == 2) {
-      const index_t m = st.len / 2;
-      for (index_t p = 0; p < m; ++p) {
-        Cx<T> wp = wstage[p];
-        if constexpr (Inv) wp = std::conj(wp);
-        Cx<T>* d0 = dst + s * (2 * p);
-        Cx<T>* d1 = dst + s * (2 * p + 1);
-        const Cx<T>* s0 = src + s * p;
-        const Cx<T>* s1 = src + s * (p + m);
-        for (index_t q = 0; q < s; ++q) {
-          const Cx<T> a = s0[q];
-          const Cx<T> b = s1[q];
-          d0[q] = a + b;
-          d1[q] = cmul(a - b, wp);
-        }
-      }
-      s *= 2;
-    } else {
-      // Radix-4 DIF butterfly, algebraically two radix-2 stages fused:
-      //   dst[4p+0] = (a+c) + (b+d)
-      //   dst[4p+1] = w^p  ·((a−c) ∓ i(b−d))   (− forward / + inverse)
-      //   dst[4p+2] = w^2p·((a+c) − (b+d))
-      //   dst[4p+3] = w^3p·((a−c) ± i(b−d))
-      const index_t m = st.len / 4;
-      for (index_t p = 0; p < m; ++p) {
-        Cx<T> w1 = wstage[3 * p], w2 = wstage[3 * p + 1], w3 = wstage[3 * p + 2];
-        if constexpr (Inv) {
-          w1 = std::conj(w1);
-          w2 = std::conj(w2);
-          w3 = std::conj(w3);
-        }
-        Cx<T>* d0 = dst + s * (4 * p);
-        Cx<T>* d1 = dst + s * (4 * p + 1);
-        Cx<T>* d2 = dst + s * (4 * p + 2);
-        Cx<T>* d3 = dst + s * (4 * p + 3);
-        const Cx<T>* s0 = src + s * p;
-        const Cx<T>* s1 = src + s * (p + m);
-        const Cx<T>* s2 = src + s * (p + 2 * m);
-        const Cx<T>* s3 = src + s * (p + 3 * m);
-        for (index_t q = 0; q < s; ++q) {
-          const Cx<T> a = s0[q], b = s1[q], c = s2[q], d = s3[q];
-          const Cx<T> t0 = a + c;
-          const Cx<T> t1 = a - c;
-          const Cx<T> t2 = b + d;
-          const Cx<T> bd = b - d;
-          // ∓i·(b−d): rotate by −90° forward, +90° inverse.
-          const Cx<T> t3 = Inv ? Cx<T>(-bd.imag(), bd.real()) : Cx<T>(bd.imag(), -bd.real());
-          d0[q] = t0 + t2;
-          d1[q] = cmul(t1 + t3, w1);
-          d2[q] = cmul(t0 - t2, w2);
-          d3[q] = cmul(t1 - t3, w3);
-        }
-      }
-      s *= 4;
-    }
-    std::swap(src, dst);
+/// Radix-R DIF butterfly of x into y; w[j-1] twiddles output j. Radix 4 is
+/// algebraically two radix-2 stages fused:
+///   y0 = (a+c) + (b+d)
+///   y1 = w^p  ·((a−c) ∓ i(b−d))   (− forward / + inverse)
+///   y2 = w^2p·((a+c) − (b+d))
+///   y3 = w^3p·((a−c) ± i(b−d))
+/// The inverse radix-2 stage rounds each product (see cmul).
+template <typename T, typename V, bool Inv, int R>
+inline void butterfly(const CV<V>* x, CV<V>* y, const CV<V>* w) {
+  if constexpr (R == 2) {
+    y[0] = x[0] + x[1];
+    y[1] = cmul<!Inv, T>(x[0] - x[1], w[0].re, w[0].im);
+  } else {
+    const CV<V> t0 = x[0] + x[2], t1 = x[0] - x[2], t2 = x[1] + x[3], bd = x[1] - x[3];
+    // ∓i·(b−d): rotate by −90° forward, +90° inverse.
+    const CV<V> t3 = Inv ? CV<V>{-bd.im, bd.re} : CV<V>{bd.im, -bd.re};
+    y[0] = t0 + t2;
+    y[1] = cmul<true, T>(t1 + t3, w[0].re, w[0].im);
+    y[2] = cmul<true, T>(t0 - t2, w[1].re, w[1].im);
+    y[3] = cmul<true, T>(t1 - t3, w[2].re, w[2].im);
   }
-  if (src != data) std::copy_n(src, n, data);
+}
+
+/// One radix-R Stockham stage of m butterfly columns at sub-transform
+/// stride s, src → dst: dst[s(Rp+j) + q] from src[s(p+jm) + q]. `Inv`
+/// selects the conjugated twiddles. A transposing first stage (s = 1) reads
+/// whole tiles of consecutive p; a transposing last stage (m = 1) writes
+/// whole tiles of consecutive q (the lane path takes only n ≥ 4·VL, so
+/// both hold whole tiles).
+template <typename T, typename V, bool Inv, int R, typename Src, typename Dst>
+void radix_stage(Src src, Dst dst, index_t m, const Cx<T>* w, index_t s) {
+  const auto twiddles = [&](index_t p, CV<V>* wv) {
+    for (int j = 0; j < R - 1; ++j) {
+      const Cx<T> wk = w[(R - 1) * p + j];
+      wv[j] = {splat<T, V>(wk.real()), splat<T, V>(Inv ? -wk.imag() : wk.imag())};
+    }
+  };
+  CV<V> x[R]{}, y[R]{}, wv[R - 1]{};
+  if constexpr (Src::kTile > 1) {
+    constexpr index_t B = Src::kTile;
+    FMMFFT_ASSERT(s == 1 && m % B == 0);
+    CV<V> tile[R][B]{};
+    for (index_t p0 = 0; p0 < m; p0 += B) {
+      for (int j = 0; j < R; ++j) src.load_tile(p0 + j * m, tile[j]);
+      for (index_t e = 0; e < B; ++e) {
+        twiddles(p0 + e, wv);
+        for (int j = 0; j < R; ++j) x[j] = tile[j][e];
+        butterfly<T, V, Inv, R>(x, y, wv);
+        for (int j = 0; j < R; ++j) dst.store(R * (p0 + e) + j, y[j]);
+      }
+    }
+  } else if constexpr (Dst::kTile > 1) {
+    constexpr index_t B = Dst::kTile;
+    FMMFFT_ASSERT(m == 1 && s % B == 0);
+    CV<V> tile[R][B]{};
+    twiddles(0, wv);
+    for (index_t q0 = 0; q0 < s; q0 += B) {
+      for (index_t e = 0; e < B; ++e) {
+        for (int j = 0; j < R; ++j) x[j] = src.load(q0 + e + j * s);
+        butterfly<T, V, Inv, R>(x, y, wv);
+        for (int j = 0; j < R; ++j) tile[j][e] = y[j];
+      }
+      for (int j = 0; j < R; ++j) dst.store_tile(j * s + q0, tile[j]);
+    }
+  } else {
+    static_assert(Src::kStep == Dst::kStep);
+    for (index_t p = 0; p < m; ++p) {
+      twiddles(p, wv);
+      for (index_t q = 0; q < s; q += Src::kStep) {
+        for (int j = 0; j < R; ++j) x[j] = src.load(s * (p + j * m) + q);
+        butterfly<T, V, Inv, R>(x, y, wv);
+        for (int j = 0; j < R; ++j) dst.store(s * (R * p + j) + q, y[j]);
+      }
+    }
+  }
+}
+
+template <typename T, typename V, bool Inv, typename Src, typename Dst>
+void stage(Src src, Dst dst, const typename Twiddles<T>::Stage& st, const Cx<T>* w, index_t s) {
+  if constexpr (std::is_same_v<V, T> && kLanes<T> > 1) {
+    // A lone line: once its sub-transforms are a vector long, run VL of
+    // them per butterfly.
+    if (s % kLanes<T> == 0)
+      return stage<T, LaneVec<T>, Inv>(Run<T>{src.p}, Run<T>{dst.p}, st, w, s);
+  }
+  if (st.radix == 2)
+    radix_stage<T, V, Inv, 2>(src, dst, st.len / 2, w, s);
+  else
+    radix_stage<T, V, Inv, 4>(src, dst, st.len / 4, w, s);
+}
+
+/// The pow2 Stockham transform of `io` (length n), in place, ping-ponging
+/// through b0 and b1. The first stage reads io and the last writes it;
+/// with an odd stage count a leading copy io → b0 keeps that so. Exactly
+/// obs::stockham_passes(log2 n) passes. The one-line kernel passes io
+/// itself as b1, which only middle stages touch.
+template <typename T, typename V, bool Inv, typename Io, typename Buf>
+void stockham(Io io, Buf b0, Buf b1, index_t n, const Twiddles<T>& tw) {
+  const index_t k = index_t(tw.stages.size());
+  if (k == 0) return;
+  const Buf buf[2] = {b0, b1};
+  int at = -1;  // buffer holding the data, -1 while it is still in io
+  if (k % 2 == 1) {
+    if constexpr (Io::kTile > 1) {
+      CV<V> tile[Io::kTile]{};
+      for (index_t i = 0; i < n; i += Io::kTile) {
+        io.load_tile(i, tile);
+        for (index_t e = 0; e < Io::kTile; ++e) b0.store(i + e, tile[e]);
+      }
+    } else {
+      for (index_t i = 0; i < n; ++i) b0.store(i, io.load(i));
+    }
+    at = 0;
+  }
+  index_t s = 1;
+  for (index_t i = 0; i < k; ++i) {
+    const auto& st = tw.stages[(std::size_t)i];
+    const Cx<T>* w = tw.w.data() + st.off;
+    if (i == k - 1)
+      stage<T, V, Inv>(buf[at], io, st, w, s);
+    else if (at < 0)
+      stage<T, V, Inv>(io, buf[0], st, w, s);
+    else
+      stage<T, V, Inv>(buf[at], buf[1 - at], st, w, s);
+    at = at < 0 ? 0 : 1 - at;
+    s *= st.radix;
+  }
 }
 
 }  // namespace
@@ -181,6 +461,7 @@ template <typename T>
 struct Plan1D<T>::Impl {
   index_t n;
   bool pow2;
+  bool lanes;  ///< batches run VL lines at a time through the lane kernel
   Twiddles<T> tw;                               // for n (pow2) or m (Bluestein)
 
   // Bluestein state (pow2 == false): transform size m >= 2n-1, chirp c,
@@ -196,7 +477,10 @@ struct Plan1D<T>::Impl {
   }
 
   explicit Impl(index_t n_)
-      : n(n_), pow2(is_pow2(n_)), tw(pow2 ? n_ : next_pow2(2 * n_ - 1)) {
+      : n(n_),
+        pow2(is_pow2(n_)),
+        lanes(kLanes<T> > 1 && pow2 && n_ >= 4 * kLanes<T> && n_ <= kLaneMaxN),
+        tw(pow2 ? n_ : next_pow2(2 * n_ - 1)) {
     FMMFFT_CHECK_MSG(n >= 1, "FFT size must be positive");
     if (!pow2) {
       m = next_pow2(2 * n - 1);
@@ -220,9 +504,15 @@ struct Plan1D<T>::Impl {
           bf[k] = std::conj(c[k]);
           if (k > 0) bf[m - k] = std::conj(c[k]);
         }
-        stockham_pow2<T, false>(bf.data(), scratch.data(), m, tw);
+        line_pow2<false>(bf.data(), scratch.data(), m);
       }
     }
+  }
+
+  /// One pow2 line of length `len` (tw's size) in place, the one-line kernel.
+  template <bool Inv>
+  void line_pow2(Cx<T>* data, Cx<T>* scratch, index_t len) const {
+    stockham<T, T, Inv>(Line<T>{data}, Line<T>{scratch}, Line<T>{data}, len, tw);
   }
 
   /// Transform one contiguous line in place. const and thread-safe: all
@@ -231,30 +521,87 @@ struct Plan1D<T>::Impl {
     if (pow2) {
       ScratchBlock<Cx<T>> scratch(n);
       if (dir == Direction::Forward)
-        stockham_pow2<T, false>(data, scratch.data(), n, tw);
+        line_pow2<false>(data, scratch.data(), n);
       else
-        stockham_pow2<T, true>(data, scratch.data(), n, tw);
+        line_pow2<true>(data, scratch.data(), n);
       return;
     }
     // Bluestein: y[k] = c[k] * IFFT( FFT(x.*c) .* FFT(b) )[k] / m
-    const auto& c = dir == Direction::Forward ? chirp_fwd : chirp_inv;
-    const auto& bf = dir == Direction::Forward ? filter_fft_fwd : filter_fft_inv;
+    const Buffer<Cx<T>>& c = dir == Direction::Forward ? chirp_fwd : chirp_inv;
+    const Buffer<Cx<T>>& bf = dir == Direction::Forward ? filter_fft_fwd : filter_fft_inv;
     ScratchBlock<Cx<T>> work(m);
     ScratchBlock<Cx<T>> scratch(m);
-    for (index_t k = 0; k < n; ++k) work[k] = cmul(data[k], c[k]);
+    const Line<T> x{data}, wk{work.data()};
+    const auto times = [](CV<T> v, Cx<T> z) { return cmul<true, T>(v, z.real(), z.imag()); };
+    for (index_t k = 0; k < n; ++k) wk.store(k, times(x.load(k), c[k]));
     for (index_t k = n; k < m; ++k) work[k] = Cx<T>(0);
-    stockham_pow2<T, false>(work.data(), scratch.data(), m, tw);
-    for (index_t k = 0; k < m; ++k) work[k] = cmul(work[k], bf[k]);
-    stockham_pow2<T, true>(work.data(), scratch.data(), m, tw);
+    line_pow2<false>(work.data(), scratch.data(), m);
+    for (index_t k = 0; k < m; ++k) wk.store(k, times(wk.load(k), bf[k]));
+    line_pow2<true>(work.data(), scratch.data(), m);
     const T inv_m = T(1) / T(m);
-    for (index_t k = 0; k < n; ++k) data[k] = cmul(work[k], c[k]) * inv_m;
+    for (index_t k = 0; k < n; ++k) {
+      const CV<T> y = times(wk.load(k), c[k]);
+      x.store(k, {y.re * inv_m, y.im * inv_m});
+    }
   }
 
-  /// Grain for batch parallelism: amortize chunk dispatch over at least
-  /// ~2^14 points' worth of transforms so tiny-n batches don't drown in
-  /// scheduling overhead.
+  /// `count` contiguous lines at pitch `ld`: whole lane groups through the
+  /// lane kernel (ping-ponging between two n-element lane blocks), the rest
+  /// one line at a time.
+  void run_lines(Cx<T>* data, index_t count, index_t ld, Direction dir) const {
+    index_t g = 0;
+    if (lanes && count >= kLanes<T>) {
+      using V = LaneVec<T>;
+      ScratchBlock<CV<V>> buf(2 * n);
+      const Lanes<V> b0{buf.data()}, b1{buf.data() + n};
+      for (; g + kLanes<T> <= count; g += kLanes<T>) {
+        const Lines<T> io{data + g * ld, ld};
+        if (dir == Direction::Forward)
+          stockham<T, V, false>(io, b0, b1, n, tw);
+        else
+          stockham<T, V, true>(io, b0, b1, n, tw);
+      }
+    }
+    for (; g < count; ++g) run_one(data + g * ld, dir);
+  }
+
+  /// `count` lines, element j of line g at data[g·dist + j·stride], on the
+  /// pool in chunks of whole groups. Strided lines are gathered a group at a
+  /// time into a contiguous block, transformed there and scattered back;
+  /// with dist == 1 each gathered element is VL adjacent complex values.
+  void run_batch(Cx<T>* data, index_t count, index_t stride, index_t dist, Direction dir) const {
+    const index_t w = group();
+    parallel_for(
+        (count + w - 1) / w,
+        [&](index_t b, index_t e) {
+          const index_t lo = b * w, hi = std::min(count, e * w);
+          if (stride == 1) return run_lines(data + lo * dist, hi - lo, dist, dir);
+          // The block is an arena lease per chunk, not a per-call heap
+          // allocation (and per-thread, so chunks never share it).
+          ScratchBlock<Cx<T>> block(w * n);
+          Cx<T>* lines = block.data();
+          for (index_t g = lo; g < hi; g += w) {
+            const index_t c = std::min(w, hi - g);
+            Cx<T>* base = data + g * dist;
+            for (index_t j = 0; j < n; ++j)
+              for (index_t l = 0; l < c; ++l) lines[l * n + j] = base[l * dist + j * stride];
+            run_lines(lines, c, n, dir);
+            for (index_t j = 0; j < n; ++j)
+              for (index_t l = 0; l < c; ++l) base[l * dist + j * stride] = lines[l * n + j];
+          }
+        },
+        batch_grain());
+  }
+
+  /// Lines per unit of batch work: a lane group, or one line.
+  index_t group() const { return lanes ? kLanes<T> : 1; }
+
+  /// Grain for batch parallelism, in groups: amortize chunk dispatch over
+  /// at least ~2^14 points' worth of transforms so tiny-n batches don't
+  /// drown in scheduling overhead.
   index_t batch_grain() const {
-    return std::max<index_t>(1, (index_t(1) << 14) / std::max<index_t>(1, n));
+    const index_t lines = std::max<index_t>(1, (index_t(1) << 14) / std::max<index_t>(1, n));
+    return (lines + group() - 1) / group();
   }
 };
 
@@ -277,8 +624,8 @@ namespace {
 /// One ledger hook for all plan entry points. Flops are the model count
 /// 5·n·log2(n) per transform (what the §5 analysis uses), not the larger
 /// operation count of the Bluestein fallback for non-pow2 sizes.
-/// `gather_scatter` marks the strided path's extra copy through the line
-/// buffer. Traffic counts data passes only; twiddle/chirp/filter table
+/// `gather_scatter` marks the strided path's extra copy through the
+/// gathered block. Traffic counts data passes only; twiddle/chirp/filter table
 /// reads are excluded (§5.3 convention, same as the FMM operator tables).
 inline void count_transforms(index_t n, bool pow2, index_t bluestein_m, double cx_bytes,
                              index_t count, bool gather_scatter = false) {
@@ -318,13 +665,7 @@ template <typename T>
 void Plan1D<T>::execute_batched(Cx<T>* data, index_t count, Direction dir) const {
   FMMFFT_SPAN("FFT-batched");
   count_transforms(impl_->n, impl_->pow2, impl_->m, 2.0 * sizeof(T), count);
-  const Impl& impl = *impl_;
-  parallel_for(
-      count,
-      [&](index_t b, index_t e) {
-        for (index_t g = b; g < e; ++g) impl.run_one(data + g * impl.n, dir);
-      },
-      impl.batch_grain());
+  impl_->run_batch(data, count, 1, impl_->n, dir);
 }
 
 template <typename T>
@@ -333,32 +674,7 @@ void Plan1D<T>::execute_strided(Cx<T>* data, index_t count, index_t stride, inde
   FMMFFT_SPAN("FFT-strided");
   count_transforms(impl_->n, impl_->pow2, impl_->m, 2.0 * sizeof(T), count,
                    /*gather_scatter=*/stride != 1);
-  const Impl& impl = *impl_;
-  const index_t n = impl.n;
-  if (stride == 1) {
-    parallel_for(
-        count,
-        [&](index_t b, index_t e) {
-          for (index_t g = b; g < e; ++g) impl.run_one(data + g * dist, dir);
-        },
-        impl.batch_grain());
-    return;
-  }
-  // Gather each strided batch into contiguous scratch, transform, scatter.
-  // The line buffer is an arena lease per chunk, not a per-call heap
-  // allocation (and per-thread, so chunks never share it).
-  parallel_for(
-      count,
-      [&](index_t b, index_t e) {
-        ScratchBlock<Cx<T>> line(n);
-        for (index_t g = b; g < e; ++g) {
-          Cx<T>* base = data + g * dist;
-          for (index_t j = 0; j < n; ++j) line[j] = base[j * stride];
-          impl.run_one(line.data(), dir);
-          for (index_t j = 0; j < n; ++j) base[j * stride] = line[j];
-        }
-      },
-      impl.batch_grain());
+  impl_->run_batch(data, count, stride, dist, dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@
 // other sizes fall back to Bluestein's chirp-z algorithm built on the
 // power-of-two path. Transforms are unnormalized, matching cuFFT/FFTW
 // conventions: ifft(fft(x)) == n * x.
+//
+// Batched and strided execution of sizes from four vector widths (32 fp64
+// / 64 fp32 on AVX-512) up to 4096 transforms a native vector's width of
+// lines at once (8 fp64 / 16 fp32 lines); everything else runs the same
+// kernel one line at a time. A line's output
+// bits do not depend on which path, layout, batch or pool width ran it.
 #pragma once
 
 #include <complex>

@@ -1,4 +1,5 @@
-// Test-only oracles for the FMM engine's custom kernels and the blocked GEMM.
+// Test-only oracles for the FMM engine's custom kernels, the blocked GEMM and
+// the lane-parallel Stockham FFT.
 //
 // Each FMM oracle recomputes a stage from the engine's public tensor accessors
 // and operator builders with plain scalar loops. It keeps the production
@@ -8,6 +9,9 @@
 // separate multiply and add.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -119,3 +123,104 @@ void m2l_oracle(Engine<T>& eng, int level) {
 }
 
 }  // namespace fmmfft::fmm
+
+namespace fmmfft::fft {
+
+/// The one-line pow2 Stockham transform the lane kernel replaced, in place:
+/// radix-4 stages (one radix-2 stage first when log2 n is odd) ping-pong
+/// between data and scratch, with a copy back after an odd stage count.
+/// Its twiddle multiplies x·w round as that kernel did when compiled with
+/// contraction on an FMA host — re = fma(x.re, w.re, −x.im·w.im) and
+/// im = fma(x.re, w.im, x.im·w.re) — except in the inverse radix-2 stage,
+/// which (like every stage without FP_FAST_FMA) rounds each product alone.
+/// Construct once per size (the twiddle tables), apply to any line.
+template <typename T>
+class StockhamOracle {
+ public:
+  using Cx = std::complex<T>;
+
+  explicit StockhamOracle(index_t n) : n_(n) {
+    // One table per stage, exp(−2πi·p/len) for p < len at that stage's length.
+    const auto add = [&](index_t len) {
+      const long double theta = 2.0L * pi_v<long double> / (long double)len;
+      std::vector<Cx> w(static_cast<std::size_t>(len));
+      for (index_t p = 0; p < len; ++p)
+        w[(std::size_t)p] =
+            Cx((T)std::cos((long double)p * theta), (T)-std::sin((long double)p * theta));
+      tables_.push_back(std::move(w));
+    };
+    index_t len = n;
+    if (ilog2_exact(n) % 2 == 1) add(len), len /= 2;
+    for (; len >= 4; len /= 4) add(len);
+  }
+
+  void operator()(Cx* data, bool inverse) const {
+#if defined(FP_FAST_FMA) && defined(FP_FAST_FMAF)
+    constexpr bool fma_host = true;
+#else
+    constexpr bool fma_host = false;
+#endif
+    // A product that must round alone: the empty asm hides it from
+    // contraction and from the vectorizer's complex-multiply pattern, which
+    // fuses one product even under -ffp-contract=off.
+    const auto alone = [](T v) {
+#if defined(__x86_64__)
+      asm("" : "+x"(v));
+#else
+      asm("" : "+m"(v));
+#endif
+      return v;
+    };
+    const auto cmul = [&](Cx x, Cx w, bool fuse) {
+      if (fuse)
+        return Cx(std::fma(x.real(), w.real(), -(x.imag() * w.imag())),
+                  std::fma(x.real(), w.imag(), x.imag() * w.real()));
+      return Cx(alone(x.real() * w.real()) - alone(x.imag() * w.imag()),
+                alone(x.real() * w.imag()) + alone(x.imag() * w.real()));
+    };
+    std::vector<Cx> scratch(static_cast<std::size_t>(n_));
+    Cx* src = data;
+    Cx* dst = scratch.data();
+    index_t s = 1;
+    for (const std::vector<Cx>& table : tables_) {
+      const auto tw = [&](index_t p) { return inverse ? std::conj(table[p]) : table[p]; };
+      const index_t len = index_t(table.size());
+      if (s == 1 && ilog2_exact(n_) % 2 == 1) {
+        const index_t m = len / 2;
+        for (index_t p = 0; p < m; ++p) {
+          const Cx wp = tw(p);
+          for (index_t q = 0; q < s; ++q) {
+            const Cx a = src[s * p + q], b = src[s * (p + m) + q];
+            dst[s * (2 * p) + q] = a + b;
+            dst[s * (2 * p + 1) + q] = cmul(a - b, wp, fma_host && !inverse);
+          }
+        }
+        s *= 2;
+      } else {
+        const index_t m = len / 4;
+        for (index_t p = 0; p < m; ++p) {
+          const Cx w1 = tw(p), w2 = tw(2 * p), w3 = tw(3 * p);
+          for (index_t q = 0; q < s; ++q) {
+            const Cx a = src[s * p + q], b = src[s * (p + m) + q];
+            const Cx c = src[s * (p + 2 * m) + q], d = src[s * (p + 3 * m) + q];
+            const Cx t0 = a + c, t1 = a - c, t2 = b + d, bd = b - d;
+            const Cx t3 = inverse ? Cx(-bd.imag(), bd.real()) : Cx(bd.imag(), -bd.real());
+            dst[s * (4 * p) + q] = t0 + t2;
+            dst[s * (4 * p + 1) + q] = cmul(t1 + t3, w1, fma_host);
+            dst[s * (4 * p + 2) + q] = cmul(t0 - t2, w2, fma_host);
+            dst[s * (4 * p + 3) + q] = cmul(t1 - t3, w3, fma_host);
+          }
+        }
+        s *= 4;
+      }
+      std::swap(src, dst);
+    }
+    if (src != data) std::copy_n(src, n_, data);
+  }
+
+ private:
+  index_t n_;
+  std::vector<std::vector<Cx>> tables_;  ///< one per stage, in stage order
+};
+
+}  // namespace fmmfft::fft

@@ -1,17 +1,22 @@
 // Unit and property tests for the FFT substrate: Stockham vs direct DFT,
 // Bluestein sizes, round trips, batched/strided layouts, 2D transforms,
-// and classic FFT identities (linearity, Parseval, shift, impulse).
+// classic FFT identities (linearity, Parseval, shift, impulse), and the
+// lane kernel's bit-identity grid against per-line transforms and the
+// one-line oracle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <complex>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "blas/simd.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
 #include "fft/fft.hpp"
+#include "kernel_oracles.hpp"
 
 namespace fmmfft::fft {
 namespace {
@@ -279,6 +284,79 @@ TEST(Fft, BatchedIsBitIdenticalSerialVsPool) {
   }
   EXPECT_EQ(pool_run, serial_run);
 }
+
+// ---------------------------------------------------------------------------
+// Lane kernel: batches run VL lines at a time (VL = native vector lanes),
+// tails and lone lines one at a time. A line's bits must not depend on the
+// path, the layout or the pool width, and fp64 must equal the one-line
+// oracle bit for bit.
+
+template <typename T>
+bool same_bits(const std::vector<Cx<T>>& a, const std::vector<Cx<T>>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(Cx<T>)) == 0;
+}
+
+/// Every pow2 n from 2 to 2^13 (plus two Bluestein sizes), both directions,
+/// counts VL−1, VL, VL+1 and 3·VL+2: execute_batched (inline and on the
+/// pool), execute_strided with dist 1 and dist n, all memcmp-equal to
+/// execute() line by line. The per-line result is checked against the
+/// one-line oracle: bitwise for fp64, to the float tolerance for fp32.
+template <typename T>
+void check_lane_grid(double fp32_tol) {
+  constexpr index_t vl = index_t(sizeof(typename simd::NativeVec<T>::vec) / sizeof(T));
+  std::vector<index_t> sizes;
+  for (index_t n = 2; n <= 8192; n *= 2) sizes.push_back(n);
+  sizes.push_back(12);
+  sizes.push_back(100);
+  for (index_t n : sizes) {
+    const Plan1D<T> plan(n);
+    for (Direction dir : {Direction::Forward, Direction::Inverse})
+      for (index_t count : {vl - 1, vl, vl + 1, 3 * vl + 2}) {
+        if (count < 1) continue;
+        SCOPED_TRACE("n=" + std::to_string(n) + " count=" + std::to_string(count) +
+                     (dir == Direction::Forward ? " forward" : " inverse"));
+        const auto x = random_signal<T>(n * count, std::uint64_t(n * 131 + count));
+        auto lines = x;
+        for (index_t g = 0; g < count; ++g) plan.execute(lines.data() + g * n, dir);
+
+        auto pooled = x;
+        plan.execute_batched(pooled.data(), count, dir);
+        EXPECT_TRUE(same_bits(pooled, lines)) << "execute_batched on the pool";
+        auto serial = x;
+        {
+          ThreadPool::ScopedSerial inline_only;
+          plan.execute_batched(serial.data(), count, dir);
+        }
+        EXPECT_TRUE(same_bits(serial, lines)) << "execute_batched inline";
+
+        // dist 1: element j of line g at g + j·count.
+        std::vector<Cx<T>> inter(x.size()), back(x.size());
+        for (index_t g = 0; g < count; ++g)
+          for (index_t j = 0; j < n; ++j) inter[g + j * count] = x[g * n + j];
+        plan.execute_strided(inter.data(), count, count, 1, dir);
+        for (index_t g = 0; g < count; ++g)
+          for (index_t j = 0; j < n; ++j) back[g * n + j] = inter[g + j * count];
+        EXPECT_TRUE(same_bits(back, lines)) << "execute_strided dist 1";
+        auto strided = x;
+        plan.execute_strided(strided.data(), count, 1, n, dir);
+        EXPECT_TRUE(same_bits(strided, lines)) << "execute_strided dist n";
+
+        if (!is_pow2(n)) continue;
+        const StockhamOracle<T> stockham(n);
+        auto oracle = x;
+        for (index_t g = 0; g < count; ++g)
+          stockham(oracle.data() + g * n, dir == Direction::Inverse);
+        if constexpr (sizeof(T) == 8)
+          EXPECT_TRUE(same_bits(lines, oracle)) << "fp64 against the one-line oracle";
+        else
+          EXPECT_LT(rel_l2_error(lines.data(), oracle.data(), n * count), fp32_tol);
+      }
+  }
+}
+
+TEST(FftLanes, DoubleGridBitIdenticalAcrossPathsAndToOracle) { check_lane_grid<double>(0); }
+
+TEST(FftLanes, FloatGridBitIdenticalAcrossPathsAndNearOracle) { check_lane_grid<float>(2e-5); }
 
 TEST(Fft, PlanCacheReturnsSharedPlans) {
   const auto before = plan_cache_stats();
