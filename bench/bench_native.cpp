@@ -195,7 +195,7 @@ void bench_a2a_grid(index_t m, index_t p, int g) {
 }
 
 /// Standalone M2L / S2T kernel benches: the register-tiled S2T and the
-/// separation-fused M2L against their scalar oracles (tests/
+/// box-tiled M2L against their scalar oracles (tests/
 /// kernel_oracles.hpp; M2L tables built outside the timed loop), on
 /// live engine state (sources loaded, multipole tree built, halos filled).
 /// Both paths produce bit-identical outputs; the delta here is pure kernel
@@ -268,9 +268,31 @@ void bench_s2t_paper_shape(const std::string& name) {
   record(name + "_oracle_ratio", "ratio", ref / sec, sec);
 }
 
+/// M2L at the benchmark plan's leaf shape (P = 32, Q = 17, complex input:
+/// C·(P-1) = 62), 64 leaf boxes, and the box-tiled kernel's same-process
+/// speedup over the scalar oracle on the same engine, one thread, gated
+/// like the S2T row.
+template <typename T>
+void bench_m2l_paper_shape(const std::string& name) {
+  ThreadPool::ScopedSerial serial;
+  const fmm::Params prm{index_t(32) * 64 * 64, 32, 64, 2, 17};
+  fmm::Engine<T> eng(prm, 2);
+  const int lev = prm.l();
+  fill_uniform(eng.multipole_box(lev, -2), eng.expansion_box_elems() * (eng.local_boxes(lev) + 4),
+               8);
+  eng.zero();
+  const double sec = time_best([&] { eng.m2l_level(lev); });
+  record(name, "seconds", sec, sec);
+  const auto tabs = fmm::m2l_oracle_tables(eng, lev);
+  const double ref = time_best([&] { fmm::m2l_oracle(eng, lev, tabs); });
+  record(name + "_oracle_ratio", "ratio", ref / sec, sec);
+}
+
 void bench_engine_kernels() {
   bench_s2t_paper_shape<double>("fmm_s2t_ml64_f64");
   bench_s2t_paper_shape<float>("fmm_s2t_ml64_f32");
+  bench_m2l_paper_shape<double>("fmm_m2l_paper_shape");
+  bench_m2l_paper_shape<float>("fmm_m2l_paper_shape_f32");
   bench_engine_kernels_typed<double>("", /*with_ref=*/true);
   // The mixed-precision translation kernels: same shapes, fp32 operators
   // and expansions — the per-kernel speedup behind FMMFFT_PRECISION=mixed.

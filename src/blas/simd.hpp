@@ -66,30 +66,21 @@ struct NativeVec<double> {
   using vec_u = vdouble_u_t;
 };
 
-// Fixed sub-native widths for remainder step-down in the streaming helpers
-// (only ever dereferenced when FMMFFT_SIMD_BYTES exceeds them).
-typedef float vfloat32_u_t __attribute__((vector_size(32), aligned(4)));
-typedef float vfloat16_u_t __attribute__((vector_size(16), aligned(4)));
-typedef double vdouble32_u_t __attribute__((vector_size(32), aligned(8)));
-typedef double vdouble16_u_t __attribute__((vector_size(16), aligned(8)));
-
+/// Unaligned T-vector of `Bytes` bytes (element alignment; T itself at
+/// sizeof(T)). Kernels template on the byte width and name the type inside:
+/// a vector type passed as a template argument loses its alignment
+/// attribute, and the compiler would then emit aligned loads.
 template <typename T, int Bytes>
-struct StepVec;
-template <>
-struct StepVec<float, 32> {
-  using vec_u = vfloat32_u_t;
+struct UVec {
+  typedef T type __attribute__((vector_size(Bytes), aligned(alignof(T))));
 };
 template <>
-struct StepVec<float, 16> {
-  using vec_u = vfloat16_u_t;
+struct UVec<float, 4> {
+  using type = float;
 };
 template <>
-struct StepVec<double, 32> {
-  using vec_u = vdouble32_u_t;
-};
-template <>
-struct StepVec<double, 16> {
-  using vec_u = vdouble16_u_t;
+struct UVec<double, 8> {
+  using type = double;
 };
 
 template <typename T>
@@ -113,47 +104,6 @@ inline const char* width_label() {
   }
 }
 
-/// dst[i] += x[i] * y[i] for i in [0, n). Native-width vector main loop,
-/// then the remainder steps down through the sub-native power-of-two widths
-/// (64→32→16 bytes) before falling to scalar, so a 6-element double tail
-/// costs two vector ops instead of six scalar ones. The streams may be
-/// mutually unaligned. Per element this is one multiply and one add in
-/// index order — value-identical to the plain scalar loop at any vector
-/// width (and to it bit-for-bit when the TU is compiled with contraction
-/// off).
-template <typename T>
-inline void mul_add_stream(T* dst, const T* x, const T* y, index_t n) {
-  using V = typename NativeVec<T>::vec_u;
-  constexpr index_t VL = index_t(sizeof(V) / sizeof(T));
-  index_t i = 0;
-  for (; i + VL <= n; i += VL) {
-    V d = *reinterpret_cast<const V*>(dst + i);
-    d += *reinterpret_cast<const V*>(x + i) * *reinterpret_cast<const V*>(y + i);
-    *reinterpret_cast<V*>(dst + i) = d;
-  }
-  if constexpr (sizeof(V) > 32) {
-    using H = typename StepVec<T, 32>::vec_u;
-    constexpr index_t HL = index_t(32 / sizeof(T));
-    if (i + HL <= n) {
-      H d = *reinterpret_cast<const H*>(dst + i);
-      d += *reinterpret_cast<const H*>(x + i) * *reinterpret_cast<const H*>(y + i);
-      *reinterpret_cast<H*>(dst + i) = d;
-      i += HL;
-    }
-  }
-  if constexpr (sizeof(V) > 16) {
-    using Q = typename StepVec<T, 16>::vec_u;
-    constexpr index_t QL = index_t(16 / sizeof(T));
-    if (i + QL <= n) {
-      Q d = *reinterpret_cast<const Q*>(dst + i);
-      d += *reinterpret_cast<const Q*>(x + i) * *reinterpret_cast<const Q*>(y + i);
-      *reinterpret_cast<Q*>(dst + i) = d;
-      i += QL;
-    }
-  }
-  for (; i < n; ++i) dst[i] += x[i] * y[i];
-}
-
 #else  // scalar fallback
 
 inline const char* width_label() { return "scalar"; }
@@ -164,11 +114,22 @@ struct NativeVec {  // one lane: vector kernels run scalar
   using vec_u = T;
 };
 
-template <typename T>
-inline void mul_add_stream(T* dst, const T* x, const T* y, index_t n) {
-  for (index_t i = 0; i < n; ++i) dst[i] += x[i] * y[i];
-}
+template <typename T, int Bytes>
+struct UVec {  // one lane
+  using type = T;
+};
 
 #endif
+
+/// Widest vector of T in bytes (sizeof(T) on the scalar fallback), and the
+/// next narrower width for a remainder: halve down to 16 bytes, then scalar.
+template <typename T>
+inline constexpr int kVecBytes = FMMFFT_SIMD_BYTES ? FMMFFT_SIMD_BYTES : int(sizeof(T));
+template <typename T>
+constexpr int step_down(int bytes) {
+  return bytes > 16 ? bytes / 2 : int(sizeof(T));
+}
+template <typename T, int Bytes>
+using uvec = typename UVec<T, Bytes>::type;
 
 }  // namespace fmmfft::simd

@@ -102,11 +102,12 @@ Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp,
 
 template <typename T>
 void Dist2dFft<T>::execute_slabs(const std::vector<std::complex<T>*>& slabs,
-                                 sim::Fabric& fabric) {
+                                 sim::Fabric& fabric,
+                                 const std::vector<std::complex<T>*>& outs) {
   exec::DeviceLanes lanes(g_);
   exec::TaskGraph graph(lanes.count());
   graph.name_lanes(lanes);
-  submit_slabs(graph, lanes, slabs, fabric);
+  submit_slabs(graph, lanes, slabs, fabric, {}, outs);
   // The per-device slab of the m×p grid decides Auto, as in DistFmmFft.
   graph.run(exec::resolve_mode(m_ * p_ / g_));
 }
@@ -310,15 +311,17 @@ template <typename T>
 void Dist2dFft<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
   using Cx = std::complex<T>;
   const index_t slab = m_ * p_ / g_;
+  // The row FFTs run in place, so the input is copied; the write-back
+  // lands each device's result straight in `out`.
   std::vector<Buffer<Cx>> local;
-  std::vector<Cx*> lp;
+  std::vector<Cx*> lp, outs;
   for (int r = 0; r < g_; ++r) {
     local.emplace_back(slab);
     std::memcpy(local.back().data(), in + r * slab, sizeof(Cx) * slab);
+    lp.push_back(local.back().data());
+    outs.push_back(out + r * slab);
   }
-  for (auto& l : local) lp.push_back(l.data());
-  execute_slabs(lp, fabric_);
-  for (int r = 0; r < g_; ++r) std::memcpy(out + r * slab, lp[(std::size_t)r], sizeof(Cx) * slab);
+  execute_slabs(lp, fabric_, outs);
 }
 
 template class DistFft1d<float>;

@@ -125,11 +125,13 @@ class Dist2dFft {
 
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
-  /// In-place variant over externally owned per-device slabs of N/G
-  /// elements. Submits the transform as one exec::TaskGraph and drains it
-  /// as exec::resolve_mode picks on the per-device slab size: inline
-  /// (Serial) or on the pool (Async), bit-identical either way.
-  void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric);
+  /// Variant over externally owned per-device slabs of N/G elements, in
+  /// place unless `outs` names per-device result slabs (see submit_slabs).
+  /// Submits the transform as one exec::TaskGraph and drains it as
+  /// exec::resolve_mode picks on the per-device slab size: inline (Serial)
+  /// or on the pool (Async), bit-identical either way.
+  void execute_slabs(const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
+                     const std::vector<std::complex<T>*>& outs = {});
 
   /// The transform's one description: submit the whole 2D FFT as tasks on
   /// `graph` (the distributed FMM-FFT appends it to its own graph) —

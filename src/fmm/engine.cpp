@@ -64,11 +64,12 @@ void count_stage(const StageStats& st, bool f32) {
 // S2T tile: 4 rows × 4 vectors = 16 accumulators of AVX-512's 32 registers.
 constexpr int kS2tRows = 4, kS2tVecs = FMMFFT_SIMD_BYTES == 64 ? 4 : 2;
 
-/// TI target rows from `trow` × NV V-vectors, kept in registers across the
+/// TI target rows from `trow` × NV W-byte vectors, kept in registers across the
 /// nj = 3·M_L source rows from `srow`; row t reads table row `tab` + jj - t.
 /// Per element: one multiply and one add per j ascending, as the scalar loop.
-template <typename V, int TI, int NV, typename T>
+template <int W, int TI, int NV, typename T>
 inline void s2t_tile(T* trow, const T* srow, const T* tab, index_t cp, index_t nj) {
+  using V = simd::uvec<T, W>;
   constexpr index_t VL = index_t(sizeof(V) / sizeof(T));
   const auto vec = [](const T* p) { return *reinterpret_cast<const V*>(p); };
   V acc[TI][NV];
@@ -86,20 +87,94 @@ inline void s2t_tile(T* trow, const T* srow, const T* tab, index_t cp, index_t n
 /// S2T of boxes [b_lo, b_hi) (`t0`: T of box 0, `s0`: S row j = -M_L of box
 /// 0) over each NV-vector pc-chunk from pc0, chunks outermost so their table
 /// slice stays cached; one-row tiles take the i-tail, narrower chunks the pc-tail.
-template <typename V, int NV, typename T>
+template <int W, int NV, typename T>
 void s2t_sweep(T* t0, const T* s0, const T* tab, index_t cp, index_t ml, index_t b_lo,
                index_t b_hi, index_t pc0) {
-  for (const index_t w = NV * index_t(sizeof(V) / sizeof(T)); pc0 + w <= cp; pc0 += w)
+  for (const index_t w = NV * index_t(W / sizeof(T)); pc0 + w <= cp; pc0 += w)
     for (index_t b = b_lo; b < b_hi; ++b) {
       T* tb = t0 + cp * ml * b + pc0;
       const T *sb = s0 + cp * ml * b + pc0, *tr = tab + cp * (ml - 1) + pc0;
       index_t i = 0;
       for (; i + kS2tRows <= ml; i += kS2tRows)
-        s2t_tile<V, kS2tRows, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
-      for (; i < ml; ++i) s2t_tile<V, 1, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
+        s2t_tile<W, kS2tRows, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
+      for (; i < ml; ++i) s2t_tile<W, 1, NV>(tb + cp * i, sb, tr - cp * i, cp, 3 * ml);
     }
-  if constexpr (NV > 1 || !std::is_same_v<V, T>)
-    s2t_sweep<std::conditional_t<NV == 1, T, V>, 1>(t0, s0, tab, cp, ml, b_lo, b_hi, pc0);
+  if constexpr (NV > 1 || W > int(sizeof(T)))
+    s2t_sweep<NV == 1 ? int(sizeof(T)) : W, 1>(t0, s0, tab, cp, ml, b_lo, b_hi, pc0);
+}
+
+// M2L tile: 4 rows × 4 boxes = 16 accumulators, plus 4 M vectors and one
+// operator vector (11 registers at 4 × 2 on 16-register ISAs). Per-parity
+// box counts are powers of two, so from 4 boxes up there is no box tail; a
+// 4 × 6 tile measured no faster on fp64 (EXPERIMENTS.md).
+constexpr int kM2lRows = 4, kM2lBoxes = FMMFFT_SIMD_BYTES == 64 ? 4 : 2;
+
+/// TI target rows from row i × TB target boxes × one W-byte vector at pc, kept
+/// in registers across `ns` separations (ascending) × Q source rows j
+/// (ascending): per L element the additions run separation-major, j-minor,
+/// as m2l_oracle's passes. `l[b]` is box b's L, `m[k][b]` its source M under
+/// separation k, and `tab[k]` that separation's slab, whose every operator
+/// vector serves the TB boxes.
+template <int W, int TI, int TB, typename T>
+inline void m2l_tile(T* const* l, const T* const (*m)[TB], const T* const* tab, int ns,
+                     index_t cpm, index_t q, index_t i, index_t pc) {
+  using V = simd::uvec<T, W>;
+  const auto vec = [](const T* p) { return *reinterpret_cast<const V*>(p); };
+  V acc[TI][TB];
+  for (int t = 0; t < TI; ++t)
+    for (int b = 0; b < TB; ++b) acc[t][b] = vec(l[b] + cpm * (i + t) + pc);
+  for (int k = 0; k < ns; ++k)
+    for (index_t j = 0; j < q; ++j) {
+      V mv[TB];
+      for (int b = 0; b < TB; ++b) mv[b] = vec(m[k][b] + cpm * j + pc);
+      const T* op = tab[k] + cpm * (i + q * j) + pc;
+      for (int t = 0; t < TI; ++t) {
+        const V a = vec(op + cpm * t);
+        for (int b = 0; b < TB; ++b) acc[t][b] += a * mv[b];
+      }
+    }
+  for (int t = 0; t < TI; ++t)
+    for (int b = 0; b < TB; ++b) *reinterpret_cast<V*>(l[b] + cpm * (i + t) + pc) = acc[t][b];
+}
+
+/// M2L of one box tile over every W-byte vector from pc and every row tile, then
+/// the pc tail at the next narrower width (32 B, 16 B, scalar); one-row
+/// tiles take the Q tail.
+template <int W, int TB, typename T>
+void m2l_boxes(T* const* l, const T* const (*m)[TB], const T* const* tab, int ns, index_t cpm,
+               index_t q, index_t pc) {
+  for (constexpr index_t VL = index_t(W / sizeof(T)); pc + VL <= cpm; pc += VL) {
+    index_t i = 0;
+    for (; i + kM2lRows <= q; i += kM2lRows)
+      m2l_tile<W, kM2lRows, TB>(l, m, tab, ns, cpm, q, i, pc);
+    for (; i < q; ++i) m2l_tile<W, 1, TB>(l, m, tab, ns, cpm, q, i, pc);
+  }
+  if constexpr (W > int(sizeof(T)))
+    m2l_boxes<simd::step_down<T>(W), TB>(l, m, tab, ns, cpm, q, pc);
+}
+
+/// M2L into the TB boxes b0, b0 + step, … of `level`: box b's source under
+/// the k-th of `ns` separations is src(k, b), tab[k] that separation's slab.
+template <int TB, typename T, typename Src>
+void m2l_box_tile(Engine<T>& e, int level, index_t b0, index_t step, const T* const* tab, int ns,
+                  const Src& src) {
+  T* l[TB];
+  const T* m[kNumCousins][TB];
+  for (int b = 0; b < TB; ++b) {
+    l[b] = e.local_box(level, b0 + step * b);
+    for (int k = 0; k < ns; ++k) m[k][b] = src(k, b0 + step * b);
+  }
+  m2l_boxes<simd::kVecBytes<T>, TB>(l, m, tab, ns, e.cpm(), e.params().q, 0);
+}
+
+/// M2L into the n boxes b0, b0 + step, …: full tiles of kM2lBoxes, then
+/// one-box tiles for the box-count tail.
+template <typename T, typename Src>
+void m2l_box_run(Engine<T>& e, int level, index_t b0, index_t step, index_t n,
+                 const T* const* tab, int ns, const Src& src) {
+  for (; n >= kM2lBoxes; n -= kM2lBoxes, b0 += step * kM2lBoxes)
+    m2l_box_tile<kM2lBoxes>(e, level, b0, step, tab, ns, src);
+  for (; n > 0; --n, b0 += step) m2l_box_tile<1>(e, level, b0, step, tab, ns, src);
 }
 
 }  // namespace
@@ -144,13 +219,6 @@ Engine<T>::Engine(const Params& prm, int components, index_t g, index_t rank)
     const auto seps = level_separations();
     for (std::size_t k = 0; k < seps.size(); ++k)
       ops[k] = m2l_cache_.at({lev, seps[k]}).data();
-  }
-  if (base_boxes >= 4) {
-    m2l_base_ops_.assign(static_cast<std::size_t>(base_boxes - 3), nullptr);
-    for (index_t sep = 2; sep <= base_boxes - 2; ++sep) {
-      auto it = m2l_cache_.find({prm_.b, sep});
-      if (it != m2l_cache_.end()) m2l_base_ops_[(std::size_t)(sep - 2)] = it->second.data();
-    }
   }
 
   s_ = Buffer<T>(cp_ * prm_.ml * (nb_leaf_ + 2));
@@ -270,7 +338,7 @@ void Engine<T>::s2t() {
   parallel_for(
       nb_leaf_,
       [&](index_t b_lo, index_t b_hi) {
-        s2t_sweep<typename simd::NativeVec<T>::vec_u, kS2tVecs>(
+        s2t_sweep<simd::kVecBytes<T>, kS2tVecs>(
             target_box(0), source_box(-1), s2t_tab_.data(), cp_, ml, b_lo, b_hi, 0);
       },
       /*grain=*/1);
@@ -286,8 +354,8 @@ const T* Engine<T>::m2l_operator(int level, index_t s) {
   auto it = m2l_cache_.find({level, s});
   if (it != m2l_cache_.end()) return it->second.data();
   // Keyed LRU for slabs too numerous to precompute. Slabs stay pinned while
-  // they remain within capacity, so m2l_base can resolve every separation's
-  // pointer up front and fuse the separation loop per box.
+  // they remain within capacity, so m2l_base resolves a capacity-sized
+  // chunk of separations up front and sweeps them in one pool fork.
   const M2lKey key{level, s};
   auto pos = m2l_lru_pos_.find(key);
   if (pos != m2l_lru_pos_.end()) {
@@ -305,80 +373,35 @@ const T* Engine<T>::m2l_operator(int level, index_t s) {
 }
 
 template <typename T>
-void Engine<T>::apply_m2l(int level, index_t s, const T* tab, bool base) {
-  // Blocked over the flattened component-by-p dimension: the active
-  // Q×Q×kPcw operator slice stays cache-resident while streaming boxes.
-  const index_t q = prm_.q, nbl = local_boxes(level), off = box_offset(level);
-  const index_t nb_global = prm_.boxes(level);
-  constexpr index_t kPcw = 64;
-  // Boxes are independent targets: share across the pool, block pc inside.
-  parallel_for(
-      nbl,
-      [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cpm_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const index_t gb = off + b;
-            if (!base && !separation_applies(s, gb % 2 != 0)) continue;
-            const T* msrc = (base ? multipole_box(level, mod(gb + s, nb_global))
-                                  : multipole_box(level, b + s)) +
-                            pc0;
-            T* ldst = local_box(level, b) + pc0;
-            for (index_t i = 0; i < q; ++i) {
-              T* lrow = ldst + cpm_ * i;
-              for (index_t j = 0; j < q; ++j) {
-                const T* trow = tab + (i + q * j) * cpm_ + pc0;
-                const T* mrow = msrc + cpm_ * j;
-                for (index_t pc = 0; pc < w; ++pc) lrow[pc] += trow[pc] * mrow[pc];
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-}
-
-template <typename T>
 void Engine<T>::m2l_level(int level) {
   FMMFFT_SPAN("M2L");
   WallTimer stage_timer_;
   FMMFFT_CHECK(level > prm_.b && level <= prm_.l());
   const index_t q = prm_.q, nbl = local_boxes(level), off = box_offset(level);
-  const auto& seps = level_separations();
   const auto& ops = m2l_level_ops_[(std::size_t)(level - prm_.b - 1)];
-  constexpr index_t kPcw = 64;
-  // All cousin separations fused into one pass per box: each box's L and M
-  // rows are streamed once instead of once per separation. Per L element the
-  // additions still run separation-major (ascending, the level_separations
-  // order restricted to this parity), j-minor — exactly the order of the
-  // per-separation oracle passes (tests/kernel_oracles.hpp), so results
-  // are bit-identical.
+  // Boxes of one parity share their three separations, which are adjacent
+  // in level_separations order ({-3,-2,2} odd, {-2,2,3} even): each unit of
+  // 2·kM2lBoxes consecutive boxes runs one box tile per parity. Tiles own
+  // disjoint L elements, so the result is independent of the thread count.
+  constexpr index_t unit = 2 * kM2lBoxes;
   parallel_for(
-      nbl,
-      [&](index_t b_lo, index_t b_hi) {
-        for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-          const index_t w = std::min(kPcw, cpm_ - pc0);
-          for (index_t b = b_lo; b < b_hi; ++b) {
-            const bool odd = (off + b) % 2 != 0;
-            T* ldst = local_box(level, b) + pc0;
-            for (std::size_t kk = 0; kk < seps.size(); ++kk) {
-              if (!separation_applies(seps[kk], odd)) continue;
-              const T* msrc = multipole_box(level, b + seps[kk]) + pc0;
-              const T* tab = ops[kk];
-              for (index_t i = 0; i < q; ++i) {
-                T* lrow = ldst + cpm_ * i;
-                for (index_t j = 0; j < q; ++j)
-                  simd::mul_add_stream(lrow, tab + (i + q * j) * cpm_ + pc0, msrc + cpm_ * j,
-                                       w);
-              }
-            }
+      ceil_div(nbl, unit),
+      [&](index_t u_lo, index_t u_hi) {
+        for (index_t u = u_lo; u < u_hi; ++u) {
+          const index_t hi = std::min(unit * (u + 1), nbl);
+          for (index_t b0 = unit * u; b0 < std::min(unit * u + 2, hi); ++b0) {
+            const std::size_t first = (off + b0) % 2 != 0 ? 0 : 1;
+            const index_t* seps = level_separations().data() + first;
+            m2l_box_run(*this, level, b0, 2, (hi - b0 + 1) / 2, ops.data() + first,
+                        kNumCousins,
+                        [&](int k, index_t b) { return multipole_box(level, b + seps[k]); });
           }
         }
       },
       /*grain=*/1);
   // 3 cousins per box regardless of parity.
   // Mops: M^l read once (with halo) and L^l accumulated (read + write) —
-  // the interaction-list reuse a tiled kernel achieves (§5.3 conventions).
+  // the interaction-list reuse of the box-tiled kernel (§5.3 conventions).
   record_stage({"M2L-" + std::to_string(level), KernelClass::Custom,
                 2.0 * 3.0 * double(q) * double(q) * double(cpm_) * double(nbl),
                 double(sizeof(T)) * (2.0 * double(cpm_ * q * nbl) +
@@ -396,54 +419,27 @@ void Engine<T>::m2l_base() {
   WallTimer stage_timer_;
   const index_t q = prm_.q, nbl = local_boxes(prm_.b), off = box_offset(prm_.b);
   const index_t nb_global = prm_.boxes(prm_.b);
-  const index_t nsep = std::max<index_t>(nb_global - 3, 0);  // s in [2, 2^B-2]
-  // Resolve every separation's operator slab up front (precomputed cache or
-  // LRU) so the separation loop fuses per box: L^B rows stream once instead
-  // of once per separation. When the slabs outnumber the LRU capacity they
-  // cannot all stay pinned — fall back to one pass per separation, building
-  // each slab on the fly (the pre-LRU behavior).
-  if (nsep > 0 && std::size_t(nsep) <= kM2lLruCapacity) {
-    std::vector<const T*> ops((std::size_t)nsep);
-    for (index_t s = 2; s <= nb_global - 2; ++s) {
-      const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-      ops[(std::size_t)(s - 2)] = tab ? tab : m2l_operator(prm_.b, s);
-    }
-    constexpr index_t kPcw = 64;
-    // Separation-major sweep: one operator slab streams across every box
-    // before moving to the next, so the active Q×Q×kPcw slice stays
-    // cache-resident (a box-major fusion would cycle all nsep slabs per box
-    // and thrash once their combined footprint exceeds L2 — measurably
-    // slower at 2^B = 64). Boxes and pc blocks are disjoint targets, so per
-    // L element the additions still run s-ascending, j-minor — the same
-    // order as the per-separation oracle passes (bit-identical). One
-    // parallel_for replaces a per-separation sweep's nsep pool forks.
+  // Separation-major, s in [2, 2^B-2] ascending: one operator slab streams
+  // across every box tile before the next, so it stays cache-resident (a
+  // tile fused over all 2^B-3 slabs would cycle them per box and thrash L2
+  // at 2^B = 64). Slabs resolve a chunk at a time; a chunk no larger than
+  // the LRU keeps every pointer pinned, so one pool fork serves it. Per L
+  // element the additions run s-ascending, j-minor, as the oracle's passes.
+  for (index_t s_lo = 2; s_lo <= nb_global - 2; s_lo += index_t(kM2lLruCapacity)) {
+    const index_t s_hi = std::min(s_lo + index_t(kM2lLruCapacity), nb_global - 1);
+    std::vector<const T*> ops;
+    for (index_t s = s_lo; s < s_hi; ++s) ops.push_back(m2l_operator(prm_.b, s));
     parallel_for(
-        nbl,
-        [&](index_t b_lo, index_t b_hi) {
-          for (index_t s = 2; s <= nb_global - 2; ++s) {
-            const T* tab = ops[(std::size_t)(s - 2)];
-            for (index_t pc0 = 0; pc0 < cpm_; pc0 += kPcw) {
-              const index_t w = std::min(kPcw, cpm_ - pc0);
-              for (index_t b = b_lo; b < b_hi; ++b) {
-                const index_t gb = off + b;
-                const T* msrc = multipole_box(prm_.b, mod(gb + s, nb_global)) + pc0;
-                T* ldst = local_box(prm_.b, b) + pc0;
-                for (index_t i = 0; i < q; ++i) {
-                  T* lrow = ldst + cpm_ * i;
-                  for (index_t j = 0; j < q; ++j)
-                    simd::mul_add_stream(lrow, tab + (i + q * j) * cpm_ + pc0, msrc + cpm_ * j,
-                                         w);
-                }
-              }
-            }
-          }
+        ceil_div(nbl, kM2lBoxes),
+        [&](index_t u_lo, index_t u_hi) {
+          const index_t b0 = kM2lBoxes * u_lo, n = std::min(kM2lBoxes * u_hi, nbl) - b0;
+          for (index_t s = s_lo; s < s_hi; ++s)
+            m2l_box_run(*this, prm_.b, b0, 1, n, &ops[(std::size_t)(s - s_lo)], 1,
+                        [&](int, index_t b) {
+                          return multipole_box(prm_.b, mod(off + b + s, nb_global));
+                        });
         },
         /*grain=*/1);
-  } else if (nsep > 0) {
-    for (index_t s = 2; s <= nb_global - 2; ++s) {
-      const T* tab = m2l_base_ops_.empty() ? nullptr : m2l_base_ops_[(std::size_t)(s - 2)];
-      apply_m2l(prm_.b, s, tab ? tab : m2l_operator(prm_.b, s), true);
-    }
   }
   // Mops: the gathered global M^B streams once, L^B accumulates.
   const double nsrc = double(nb_global - 3);

@@ -132,7 +132,6 @@ class Engine {
   }
 
  private:
-  void apply_m2l(int level, index_t s, const T* tab, bool base);
   /// M2L operator slab for (level, s), from the precomputed cache or (for
   /// large base levels where caching all 2^B-3 slabs would be prohibitive)
   /// built on the fly.
@@ -166,11 +165,9 @@ class Engine {
   M2lLru m2l_lru_;
   std::map<M2lKey, typename M2lLru::iterator> m2l_lru_pos_;
   // Hot-path operator pointers resolved once at ctor time (map lookups are
-  // off the per-call path). m2l_level_ops_[lev - B - 1][k] follows the
-  // level_separations() order; m2l_base_ops_[s - 2] is null for base
-  // separations too numerous to cache (built on the fly into the scratch).
+  // off the per-call path): m2l_level_ops_[lev - B - 1][k] follows the
+  // level_separations() order.
   std::vector<std::array<const T*, 4>> m2l_level_ops_;
-  std::vector<const T*> m2l_base_ops_;
 
   // Tensors.
   Buffer<T> s_, t_;

@@ -213,10 +213,9 @@ TEST(Engine, StatsFlopFormulas) {
 }
 
 // -- Fused/SIMD kernel identity ----------------------------------------------
-// The register-tiled S2T and the separation-fused M2L fast paths promise
-// BIT-identical outputs to their oracles (same per-element accumulation
-// order): S2T to the scalar s2t_oracle, M2L to the engine's per-separation
-// reference passes. Two engines get identical tensor state — sources with
+// The register-tiled S2T and the box-tiled M2L promise BIT-identical
+// outputs to their oracles (same per-element accumulation order): S2T to
+// the scalar s2t_oracle, M2L to the per-separation m2l_oracle passes. Two engines get identical tensor state — sources with
 // halos, every multipole level with halo boxes, the global base buffer —
 // then one runs the fast kernels and the other the oracles; every output
 // tensor must memcmp equal.
@@ -269,7 +268,8 @@ void expect_kernels_match(const Params& prm, index_t g, index_t rank, int compon
     const std::size_t lbytes =
         sizeof(T) * std::size_t(ea.expansion_box_elems() * ea.local_boxes(lev));
     EXPECT_EQ(0, std::memcmp(ea.local_box(lev, 0), eb.local_box(lev, 0), lbytes))
-        << prm.to_string() << " g=" << g << " rank=" << rank << " (M2L level " << lev << ")";
+        << prm.to_string() << " C=" << components << " g=" << g << " rank=" << rank << " fp"
+        << 8 * sizeof(T) << " (M2L level " << lev << ")";
   }
 }
 
@@ -302,6 +302,28 @@ TEST(EngineKernelIdentity, BaseSeparationsBeyondLruCapacity) {
   // pin at once: m2l_base falls back to one pass per separation and must
   // still match the reference bit for bit.
   expect_kernels_match(Params{4096, 4, 2, 9, 4}, 1, 0);
+  expect_kernels_match<float>(Params{4096, 4, 2, 9, 4}, 1, 0);
+}
+
+TEST(EngineKernelIdentity, M2lMatchesOracleAcrossTileTails) {
+  // The box-tiled M2L against the scalar oracle at every tile tail, fp64 and
+  // fp32, on every rank of G = 1, 2, 4. Q = 4 fills one 4-row tile, Q = 10
+  // and 17 leave a row tail. C·(P-1) = 3, 31, 62 leaves pc tails of the 32 B,
+  // 16 B and scalar steps in both widths. Per-parity box counts run 2..128
+  // and the base level's 8 / G boxes 2..8: counts below the box tile (4 on
+  // AVX-512, else 2) run one-box tiles only, larger ones full tiles.
+  for (const index_t p : {index_t(4), index_t(32)})
+    for (const int c : {1, 2}) {
+      if (p == 4 && c == 2) continue;
+      for (const int q : {4, 10, 17}) {
+        const Params prm{p * 4 * 256, p, 4, 3, q};
+        for (const index_t g : {index_t(1), index_t(2), index_t(4)})
+          for (index_t rank = 0; rank < g; ++rank) {
+            expect_kernels_match<double>(prm, g, rank, c);
+            expect_kernels_match<float>(prm, g, rank, c);
+          }
+      }
+    }
 }
 
 TEST(EngineKernelIdentity, S2tMatchesOracleAcrossShapes) {
