@@ -506,11 +506,14 @@ int main(int argc, char** argv) {
   bench_gemm_batched<double>("gemm_f64_batched_m2m_peritem", 512, 18, 36, 32, false);
 
   // Batched FFTs at the 2D-FFT stage's shapes: many size-P lines, fewer
-  // size-M lines, plus a Bluestein (non-pow2) size.
+  // size-M lines (from 16384 up, four-step), plus a Bluestein (non-pow2)
+  // size. 131072 x 32 is the M-line batch of the N = 2^22 FMM-FFT.
   bench_fft_batched<double>("fft_f64_512x256", 512, 256);
   bench_fft_batched<double>("fft_f64_4096x64", 4096, 64);
   bench_fft_batched<double>("fft_f64_16384x16", 16384, 16);
+  bench_fft_batched<double>("fft_f64_131072x32", 131072, 32);
   bench_fft_batched<float>("fft_f32_4096x64", 4096, 64);
+  bench_fft_batched<float>("fft_f32_131072x16", 131072, 16);
   bench_fft_batched<double>("fft_f64_blue1000x64", 1000, 64);
   bench_fft_oracle_ratio<double>("fft_f64_4096x64_oracle_ratio", 4096, 64);
   bench_fft_oracle_ratio<float>("fft_f32_4096x64_oracle_ratio", 4096, 64);

@@ -119,6 +119,7 @@ void transpose_blocked(const T* x, T* y, index_t rows, index_t cols) {
   if (rows <= 0 || cols <= 0) return;
   FMMFFT_TRAFFIC_RW("transpose", double(rows) * double(cols) * sizeof(T),
                     double(rows) * double(cols) * sizeof(T), 0);
+  FMMFFT_TRAFFIC_SECONDS("transpose");
   if (rows == 1 || cols == 1) {  // degenerate: the transpose is the identity copy
     std::memcpy(y, x, sizeof(T) * static_cast<std::size_t>(rows * cols));
     return;
@@ -152,6 +153,7 @@ void transpose_inplace(T* x, index_t n) {
   if (n <= 1) return;
   FMMFFT_TRAFFIC_RW("transpose", double(n) * double(n) * sizeof(T),
                     double(n) * double(n) * sizeof(T), 0);
+  FMMFFT_TRAFFIC_SECONDS("transpose");
   constexpr index_t side = detail::transpose_tile_side<T>();
   const index_t nb = (n + side - 1) / side;
   parallel_for(

@@ -108,6 +108,7 @@ struct FmmFft<InT>::Impl {
     const index_t mtot = prm.m();
     {
       FMMFFT_SPAN("POST");
+      FMMFFT_TRAFFIC_SECONDS("post");
       const ER* t = eng.target_box(0);
       const ER* r = eng.reduction();
       // The fused post writes the FFT input straight into `scratch`; the

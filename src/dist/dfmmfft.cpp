@@ -45,6 +45,7 @@ void DistFmmFft<InT>::post_slab_t(int r) {
   // read at the engine width ER and widened scalar-by-scalar; the rho
   // rotation and the slab it writes stay at the shell width.
   FMMFFT_SPAN("POST");
+  FMMFFT_TRAFFIC_SECONDS("post");
   const index_t slab_n = prm_.n / g_;
   // Streams T once (c_ engine reals per element) and writes the complex
   // shell-width slab; the tiny rho/reduction tables are excluded like the
