@@ -26,6 +26,7 @@
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
 #include "obs/obs.hpp"
+#include "obs/traffic.hpp"
 #include "sim/fabric.hpp"
 
 namespace fmmfft::dist {
@@ -35,10 +36,13 @@ namespace detail {
 /// Forward FFTs of `lines` contiguous lines at `data`. Outside a pool chunk
 /// (an inline graph drain) the lines split across the pool in stripes of
 /// ≥ 2^12 elements; inside one (a pooled drain) they run in place. Lines
-/// are independent, so the split cannot change bits.
+/// are independent, so the split cannot change bits. The launch books its
+/// wall time in the ledger's `fft` scope once; the per-chunk plan calls
+/// book none.
 template <typename T>
 void forward_lines(const fft::Plan1D<T>& plan, std::complex<T>* data, index_t lines) {
   const index_t n = plan.size();
+  FMMFFT_TRAFFIC_SECONDS("fft");
   parallel_for(
       lines,
       [&](index_t lo, index_t hi) {

@@ -81,8 +81,8 @@ constexpr double kExact = 1e-9;  // summation noise on counts that must agree
 ///    (pc-1)/pc·N and a column phase moving (pr-1)/pr·N;
 ///  * the batched line FFTs' data passes: summed over devices, one
 ///    transform along each extent per line, each reading and writing
-///    stockham_passes full lines. Predictable only for pow2 extents (no
-///    Bluestein configs in the canonical set).
+///    fft_passes full lines (the count Plan1D books). Predictable only for
+///    pow2 extents (no Bluestein configs in the canonical set).
 void check_exchange_and_passes(ModelReport& rep, const Snapshot& snap, const char* slab_tag,
                                const std::vector<index_t>& extents, index_t g, double eb,
                                double r, int pr, int pc) {
@@ -91,7 +91,7 @@ void check_exchange_and_passes(ModelReport& rep, const Snapshot& snap, const cha
   for (index_t e : extents) {
     n *= double(e);
     pow2 = pow2 && is_pow2(e);
-    if (pow2) passes += double(stockham_passes(ilog2_exact(e)));
+    if (pow2) passes += double(fft_passes(ilog2_exact(e)));
   }
   if (pr > 0) {
     rep.checks.push_back({"traffic.a2a_row_payload", ledger_sum(snap, "comm.A2A-ROW").comm_bytes,
