@@ -169,31 +169,6 @@ void bench_a2a(index_t m, index_t p, int g) {
   record("a2a_staged_g4", "gbytes_per_s", bytes / sec / 1e9, sec);
 }
 
-/// The factorized two-phase Π_{M,P} over a 2×2 grid on the same geometry as
-/// bench_a2a: two sub-communicator hops touch every element twice, so the
-/// numerator counts 2× the one-phase sweep (rate comparable per phase, not
-/// per permutation).
-void bench_a2a_grid(index_t m, index_t p, int g) {
-  using Cx = std::complex<double>;
-  sim::Fabric fabric(g);
-  const index_t slab = m * p / g;
-  Buffer<Cx> bin(m * p), bout(m * p), bwork(m * p);
-  fill_uniform(bin.data(), m * p, 9);
-  std::vector<Cx*> in, out, work;
-  for (int r = 0; r < g; ++r) {
-    in.push_back(bin.data() + r * slab);
-    out.push_back(bout.data() + r * slab);
-    work.push_back(bwork.data() + r * slab);
-  }
-  const dist::ProcGrid grid{2, 2};
-  const double bytes = 2.0 * 2.0 * double(m) * double(p) * sizeof(Cx);  // 2 phases, rd + wr
-  double sec = time_best([&] {
-    dist::all_to_all_permute_mp_grid(fabric, in, out, work, m, p, grid);
-    fabric.reset();
-  });
-  record("a2a_pencil_2x2", "gbytes_per_s", bytes / sec / 1e9, sec);
-}
-
 /// Standalone M2L / S2T kernel benches: the register-tiled S2T and the
 /// box-tiled M2L against their scalar oracles (tests/
 /// kernel_oracles.hpp; M2L tables built outside the timed loop), on
@@ -525,7 +500,6 @@ int main(int argc, char** argv) {
   bench_transpose_ref("transpose_ref_c64_1024", 1024, 1024);
   bench_transpose_inplace("transpose_inplace_c64_1024", 1024);
   bench_a2a(1024, 1024, 4);
-  bench_a2a_grid(1024, 1024, 4);
 
   bench_engine_kernels();
 

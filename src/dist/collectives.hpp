@@ -82,7 +82,7 @@ inline void a2a_record(A2aScope scope, double payload) {
 
 /// Generalized fused pair message: `batch` independent nr×nc strided
 /// transposes (y[j + i·out_ld] = x[i + j·in_ld] per batch), the building
-/// block of the sub-communicator exchanges. One read + one write per
+/// block of the 3D pencil's sub-communicator exchanges. One read + one write per
 /// element, recorded under the scope's pack/unpack keys.
 template <typename T>
 void a2a_pair_fused_strided(const T* in, T* out, index_t nr, index_t nc, index_t in_ld,
@@ -93,22 +93,6 @@ void a2a_pair_fused_strided(const T* in, T* out, index_t nr, index_t nc, index_t
   for (index_t b = 0; b < batch; ++b)
     fmmfft::detail::transpose_strided_serial(in + b * in_bstride, in_ld,
                                              out + b * out_bstride, out_ld, nr, nc);
-}
-
-/// Same-orientation pair message: `batch` blocks of `rows` rows of
-/// `row_elems` contiguous elements, copied without reordering (the row
-/// phase of the factorized 2D exchange keeps p-fastest order; only the
-/// column phase transposes).
-template <typename T>
-void a2a_pair_copy_strided(const T* in, T* out, index_t row_elems, index_t rows,
-                           index_t in_ld, index_t out_ld, index_t batch, index_t in_bstride,
-                           index_t out_bstride, A2aScope scope) {
-  if (row_elems <= 0 || rows <= 0 || batch <= 0) return;
-  a2a_record(scope, double(batch) * double(rows) * double(row_elems) * sizeof(T));
-  for (index_t b = 0; b < batch; ++b)
-    for (index_t r = 0; r < rows; ++r)
-      std::memcpy(out + b * out_bstride + r * out_ld, in + b * in_bstride + r * in_ld,
-                  std::size_t(row_elems) * sizeof(T));
 }
 
 }  // namespace detail

@@ -44,13 +44,6 @@ DecompChoice finalize(const model::DecompDecision& decision) {
 
 }  // namespace
 
-DecompChoice resolve_decomp_2d(int g, index_t m, index_t p, model::Decomp requested,
-                               model::GridShape requested_grid) {
-  const model::Workload w{m * p, /*is_complex=*/true, /*is_double=*/true};
-  return finalize(model::choose_decomp_2d(env_decomp(requested), env_grid(requested_grid), m,
-                                          p, g, w, model::p100_nvlink(g)));
-}
-
 DecompChoice resolve_decomp_3d(int g, index_t n0, index_t n1, index_t n2,
                                model::Decomp requested, model::GridShape requested_grid) {
   const model::Workload w{n0 * n1 * n2, /*is_complex=*/true, /*is_double=*/true};

@@ -87,17 +87,13 @@ void DistFft1d<T>::execute(const std::complex<T>* in, std::complex<T>* out) {
 }
 
 template <typename T>
-Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp,
-                        model::GridShape grid)
+Dist2dFft<T>::Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp)
     : m_(m), p_(p), g_(g), fabric_(g), plan_m_(m), plan_p_(p) {
+  FMMFFT_CHECK_MSG(decomp != model::Decomp::Pencil,
+                   "the 2D FFT has no pencil layout: factorizing its one all-to-all would "
+                   "send every element across the fabric twice (pencils are 3D only)");
   FMMFFT_CHECK_MSG(m % g == 0 && p % g == 0, "G must divide both 2D FFT dimensions");
-  const DecompChoice choice = resolve_decomp_2d(g, m, p, decomp, grid);
-  decomp_ = choice.decomp;
-  grid_ = choice.grid;
-  decision_ = choice.decision;
   for (int r = 0; r < g_; ++r) scratch_.emplace_back(m_ * p_ / g_);
-  if (decomp_ == model::Decomp::Pencil)
-    for (int r = 0; r < g_; ++r) work_.emplace_back(m_ * p_ / g_);
 }
 
 template <typename T>
@@ -131,63 +127,27 @@ std::vector<exec::TaskId> Dist2dFft<T>::submit_slabs(exec::TaskGraph& graph,
   auto sc = ptrs(scratch_);
 
   // (a) Row FFTs, one task per chunk of contiguous p-major rows.
-  Exchange x;
-  x.fftp.resize((std::size_t)g_);
+  std::vector<std::vector<exec::TaskId>> fftp((std::size_t)g_);
   for (int r = 0; r < g_; ++r) {
     std::vector<exec::TaskId> deps;
     if (!ready.empty()) deps.push_back(ready[(std::size_t)r]);
-    x.fftp[(std::size_t)r] = detail::submit_line_ffts(
+    fftp[(std::size_t)r] = detail::submit_line_ffts(
         graph, lanes, r, "fftp", "2DFFT-P", plan_p_, slabs[(std::size_t)r], mg, 1, nc, deps);
   }
 
-  // (b) The Π_{M,P} all-to-all into the scratch slabs.
-  x.arrived.resize((std::size_t)g_);
-  x.readers.resize((std::size_t)g_);
-  const bool pencil = decomp_ == model::Decomp::Pencil;
-  if (pencil)
-    submit_pencil_exchange(graph, lanes, slabs, fabric, nc, x);
-  else
-    submit_slab_exchange(graph, lanes, slabs, fabric, nc, x);
-
-  // (c) Column FFTs per device once every fragment of its scratch slab has
-  // arrived (join meta-task), then the write-back into `outs[r]` or the
-  // slab — which must also wait for every pack that still reads this
-  // device's slab (WAR hazard).
-  std::vector<exec::TaskId> terminal((std::size_t)g_);
-  for (int r = 0; r < g_; ++r) {
-    const exec::TaskId join =
-        graph.submit((pencil ? "col-join d" : "a2a-join d") + std::to_string(r),
-                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
-                     x.arrived[(std::size_t)r]);
-    std::vector<exec::TaskId> deps = detail::submit_line_ffts(
-        graph, lanes, r, "fftm", "2DFFT-M", plan_m_, sc[(std::size_t)r], pg, 1, nc, {join});
-    deps.insert(deps.end(), x.readers[(std::size_t)r].begin(), x.readers[(std::size_t)r].end());
-    Cx* dst = (outs.empty() ? slabs : outs)[(std::size_t)r];
-    const Cx* src = sc[(std::size_t)r];
-    terminal[(std::size_t)r] = graph.submit(
-        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
-        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
-        std::move(deps));
-  }
-  return terminal;
-}
-
-template <typename T>
-void Dist2dFft<T>::submit_slab_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-                                        const std::vector<std::complex<T>*>& slabs,
-                                        sim::Fabric& fabric, index_t nc, Exchange& x) {
-  // The single all-to-all, chunk-pipelined and fused: for every (src, dst)
-  // pair and row chunk, one strided gather-scatter on src's compute lane
-  // writes the chunk straight into dst's scratch slab (the simulator's
-  // one-address-space twin of peer-to-peer strided writes) — no staging
-  // buffers, no memmove. The pair's link lane carries a record task
-  // accounting the payload, so lane structure and fabric bytes match a
-  // staged path. A chunk's pack waits only on the row FFTs that produced
-  // its rows; chunks write disjoint dst regions, so they overlap freely.
-  using Cx = std::complex<T>;
-  const index_t mg = m_ / g_, pg = p_ / g_;
+  // (b) The Π_{M,P} all-to-all into the scratch slabs, chunk-pipelined and
+  // fused: for every (src, dst) pair and row chunk, one strided
+  // gather-scatter on src's compute lane writes the chunk straight into
+  // dst's scratch slab (the simulator's one-address-space twin of
+  // peer-to-peer strided writes) — no staging buffers, no memmove. The
+  // pair's link lane carries a record task accounting the payload, so lane
+  // structure and fabric bytes match a staged path. A chunk's pack waits
+  // only on the row FFTs that produced its rows; chunks write disjoint dst
+  // regions, so they overlap freely. Per device: the copies writing its
+  // scratch slab (`arrived`) and the packs still reading its input slab
+  // (`readers`, the write-back's WAR gate).
+  std::vector<std::vector<exec::TaskId>> arrived((std::size_t)g_), readers((std::size_t)g_);
   const index_t step = (mg + nc - 1) / nc;
-  auto sc = ptrs(scratch_);
   for (int r = 0; r < g_; ++r) {
     for (int rr = 0; rr < g_; ++rr) {
       for (index_t c = 0; c < nc; ++c) {
@@ -203,7 +163,7 @@ void Dist2dFft<T>::submit_slab_exchange(exec::TaskGraph& graph, const exec::Devi
             [this, in, out, lo, hi, r, rr, mg, pg] {
               detail::a2a_pair_fused(in, out, r, rr, m_, p_, mg, pg, lo, hi);
             },
-            {x.fftp[(std::size_t)r][(std::size_t)c]});
+            {fftp[(std::size_t)r][(std::size_t)c]});
         const exec::TaskId copy = graph.submit(
             "copy" + sfx, {lanes.copy(r, rr), /*ordered=*/true, "a2a"},
             [&fabric, r, rr, cnt] {
@@ -211,100 +171,33 @@ void Dist2dFft<T>::submit_slab_exchange(exec::TaskGraph& graph, const exec::Devi
                             sizeof(real_of_t<Cx>) == 4);
             },
             {pack});
-        x.readers[(std::size_t)r].push_back(pack);
-        x.arrived[(std::size_t)rr].push_back(copy);
-      }
-    }
-  }
-}
-
-template <typename T>
-void Dist2dFft<T>::submit_pencil_exchange(exec::TaskGraph& graph,
-                                          const exec::DeviceLanes& lanes,
-                                          const std::vector<std::complex<T>*>& slabs,
-                                          sim::Fabric& fabric, index_t nc, Exchange& x) {
-  using Cx = std::complex<T>;
-  const int pr = grid_.pr, pc = grid_.pc;
-  const index_t mg = m_ / g_, pg = p_ / g_;
-  const index_t block = pg * mg;
-  const index_t step = (mg + nc - 1) / nc;
-  const bool f32 = sizeof(T) == 4;
-  auto sc = ptrs(scratch_);
-  auto wk = ptrs(work_);
-
-  // Row phase: sender s = (i,j) ships the chunks destined for grid column
-  // jj to the intermediate t = (i,jj), same orientation (pure row copies
-  // into t's work buffer). A chunk waits only on the row FFT that produced
-  // its rows.
-  std::vector<std::vector<exec::TaskId>> arrived_row((std::size_t)g_);
-  for (int s = 0; s < g_; ++s) {
-    const int i = grid_.row_of(s), j = grid_.col_of(s);
-    for (int jj = 0; jj < pc; ++jj) {
-      const int t = grid_.device(i, jj);
-      for (index_t c = 0; c < nc; ++c) {
-        const index_t lo = c * step, hi = std::min(mg, lo + step);
-        if (lo >= hi) break;
-        const Cx* in = slabs[(std::size_t)s] + index_t(jj) * pg + lo * p_;
-        Cx* out = wk[(std::size_t)t] + index_t(j) * pr * block + lo * pg;
-        const index_t rows = hi - lo;
-        const std::string sfx =
-            " " + std::to_string(s) + "->" + std::to_string(t) + " c" + std::to_string(c);
-        const exec::TaskId pack = graph.submit(
-            "row-pack" + sfx, {lanes.compute(s), /*ordered=*/false, "a2a"},
-            [this, in, out, rows, pg, pc, pr, block] {
-              detail::a2a_pair_copy_strided(in, out, /*row_elems=*/pg, /*rows=*/rows,
-                                            /*in_ld=*/p_, /*out_ld=*/pg,
-                                            /*batch=*/index_t(pr),
-                                            /*in_bstride=*/index_t(pc) * pg,
-                                            /*out_bstride=*/block, detail::A2aScope::Row);
-            },
-            {x.fftp[(std::size_t)s][(std::size_t)c]});
-        x.readers[(std::size_t)s].push_back(pack);
-        arrived_row[(std::size_t)t].push_back(graph.submit(
-            "row-copy" + sfx, {lanes.copy(s, t), /*ordered=*/true, "a2a"},
-            [&fabric, s, t, rows, pg, pr, f32] {
-              fabric.record(s, t, double(pr) * double(rows) * double(pg) * sizeof(Cx),
-                            "A2A-ROW", f32);
-            },
-            {pack}));
+        readers[(std::size_t)r].push_back(pack);
+        arrived[(std::size_t)rr].push_back(copy);
       }
     }
   }
 
-  // Column phase: the intermediate t = (i,jj) scatters batch ii of every
-  // sender column into d = (ii,jj)'s final cyclic layout (the only
-  // transposing hop). It reads t's whole work buffer, so it waits on t's
-  // row join; writes go to d's scratch slab, which nothing else touches.
-  std::vector<exec::TaskId> row_join((std::size_t)g_);
-  for (int t = 0; t < g_; ++t)
-    row_join[(std::size_t)t] =
-        graph.submit("row-join d" + std::to_string(t),
-                     {lanes.compute(t), /*ordered=*/false, "sync"}, [] {},
-                     arrived_row[(std::size_t)t]);
-  for (int t = 0; t < g_; ++t) {
-    const int i = grid_.row_of(t), jj = grid_.col_of(t);
-    for (int ii = 0; ii < pr; ++ii) {
-      const int d = grid_.device(ii, jj);
-      const Cx* in = wk[(std::size_t)t] + index_t(ii) * block;
-      Cx* out = sc[(std::size_t)d] + index_t(i) * pc * mg;
-      const std::string sfx = " " + std::to_string(t) + "->" + std::to_string(d);
-      const exec::TaskId pack = graph.submit(
-          "col-pack" + sfx, {lanes.compute(t), /*ordered=*/false, "a2a"},
-          [this, in, out, pg, mg, pc, pr, block] {
-            detail::a2a_pair_fused_strided(in, out, /*nr=*/pg, /*nc=*/mg, /*in_ld=*/pg,
-                                           /*out_ld=*/m_, /*batch=*/index_t(pc),
-                                           /*in_bstride=*/index_t(pr) * block,
-                                           /*out_bstride=*/mg, detail::A2aScope::Col);
-          },
-          {row_join[(std::size_t)t]});
-      x.arrived[(std::size_t)d].push_back(graph.submit(
-          "col-copy" + sfx, {lanes.copy(t, d), /*ordered=*/true, "a2a"},
-          [&fabric, t, d, pc, block, f32] {
-            fabric.record(t, d, double(pc) * double(block) * sizeof(Cx), "A2A-COL", f32);
-          },
-          {pack}));
-    }
+  // (c) Column FFTs per device once every fragment of its scratch slab has
+  // arrived (join meta-task), then the write-back into `outs[r]` or the
+  // slab — which must also wait for every pack that still reads this
+  // device's slab (WAR hazard).
+  std::vector<exec::TaskId> terminal((std::size_t)g_);
+  for (int r = 0; r < g_; ++r) {
+    const exec::TaskId join =
+        graph.submit("a2a-join d" + std::to_string(r),
+                     {lanes.compute(r), /*ordered=*/false, "sync"}, [] {},
+                     arrived[(std::size_t)r]);
+    std::vector<exec::TaskId> deps = detail::submit_line_ffts(
+        graph, lanes, r, "fftm", "2DFFT-M", plan_m_, sc[(std::size_t)r], pg, 1, nc, {join});
+    deps.insert(deps.end(), readers[(std::size_t)r].begin(), readers[(std::size_t)r].end());
+    Cx* dst = (outs.empty() ? slabs : outs)[(std::size_t)r];
+    const Cx* src = sc[(std::size_t)r];
+    terminal[(std::size_t)r] = graph.submit(
+        "writeback d" + std::to_string(r), {lanes.compute(r), /*ordered=*/true, "fft"},
+        [dst, src, slab] { std::memcpy(dst, src, sizeof(Cx) * (std::size_t)slab); },
+        std::move(deps));
   }
+  return terminal;
 }
 
 template <typename T>

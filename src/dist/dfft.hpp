@@ -21,10 +21,9 @@
 #include "common/aligned.hpp"
 #include "common/threadpool.hpp"
 #include "common/types.hpp"
-#include "dist/decomp.hpp"
-#include "dist/procgrid.hpp"
 #include "exec/executor.hpp"
 #include "fft/fft.hpp"
+#include "model/tuning.hpp"
 #include "obs/obs.hpp"
 #include "obs/traffic.hpp"
 #include "sim/fabric.hpp"
@@ -113,19 +112,16 @@ class DistFft1d {
 
 /// Distributed M×P 2D FFT in the FMM-FFT's p-major layout: input element
 /// (p, m) at position p + m·P, block partitioned over m; output in order.
-///
-/// The single Π_{M,P} exchange runs in either decomposition: slab (the
-/// one-phase G-wide all-to-all, tag A2A-2D) or pencil (the factorized
-/// two-phase form over a pr×pc grid — row phase A2A-ROW, column phase
-/// A2A-COL — each confined to a √G-ish sub-communicator). Both move the
-/// same element values with pure copies, so results are bit-identical.
+/// The single Π_{M,P} exchange is the one-phase G-wide all-to-all (tag
+/// A2A-2D). A pencil layout pays in 3D (dist::Dist3dFft), where it changes
+/// feasibility and absorbs a local reorientation; factorizing this one
+/// transpose would only send every element across the fabric twice.
 template <typename T>
 class Dist2dFft {
  public:
-  /// `decomp`/`grid` default to the environment / cost-model resolution
-  /// (dist::resolve_decomp_2d: ctor argument > FMMFFT_DECOMP > model).
-  Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp = model::Decomp::Auto,
-            model::GridShape grid = {});
+  /// `decomp` is Auto or Slab; Pencil throws fmmfft::Error (this transform
+  /// has no pencil layout). FMMFFT_DECOMP / FMMFFT_GRID apply to 3D only.
+  Dist2dFft(index_t m, index_t p, int g, model::Decomp decomp = model::Decomp::Auto);
 
   void execute(const std::complex<T>* in, std::complex<T>* out);
 
@@ -140,9 +136,8 @@ class Dist2dFft {
   /// The transform's one description: submit the whole 2D FFT as tasks on
   /// `graph` (the distributed FMM-FFT appends it to its own graph) —
   /// per-device row-FFT chunks, per-(pair, chunk) fused pack + copy-record
-  /// tasks for the exchange (one phase for slab, row then column phase for
-  /// pencil), then column-FFT chunks — so copies overlap neighbouring FFT
-  /// chunks exactly as dist::fft_schedule models.
+  /// tasks for the exchange, then column-FFT chunks — so copies overlap
+  /// neighbouring FFT chunks exactly as dist::fft_schedule models.
   /// `ready[r]` (optional) gates device r's first task. Device r's result
   /// is written back into `outs[r]` (default: in place, into `slabs[r]`);
   /// returns the per-device terminal task (the write-back).
@@ -154,35 +149,15 @@ class Dist2dFft {
                                          const std::vector<std::complex<T>*>& outs = {});
 
   const sim::Fabric& fabric() const { return fabric_; }
-  model::Decomp decomp() const { return decomp_; }
-  const ProcGrid& grid() const { return grid_; }
-  const model::DecompDecision& decision() const { return decision_; }
+  /// Always Slab: the one layout this transform has.
+  model::Decomp decomp() const { return model::Decomp::Slab; }
 
  private:
-  /// Task ids threaded through submit_slabs: the row-FFT chunks that feed
-  /// the exchange (per device, in chunk order), and what the exchange
-  /// submits per device — the copies writing its scratch slab (`arrived`)
-  /// and the packs still reading its input slab (`readers`, the
-  /// write-back's WAR gate).
-  struct Exchange {
-    std::vector<std::vector<exec::TaskId>> fftp, arrived, readers;
-  };
-  void submit_slab_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-                            const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-                            index_t nc, Exchange& x);
-  void submit_pencil_exchange(exec::TaskGraph& graph, const exec::DeviceLanes& lanes,
-                              const std::vector<std::complex<T>*>& slabs, sim::Fabric& fabric,
-                              index_t nc, Exchange& x);
-
   index_t m_, p_;
   int g_;
-  model::Decomp decomp_ = model::Decomp::Slab;
-  ProcGrid grid_;
-  model::DecompDecision decision_;
   sim::Fabric fabric_;
   fft::Plan1D<T> plan_m_, plan_p_;
   std::vector<Buffer<std::complex<T>>> scratch_;
-  std::vector<Buffer<std::complex<T>>> work_;  ///< pencil intermediate (N/G each)
 };
 
 }  // namespace fmmfft::dist

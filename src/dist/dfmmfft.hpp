@@ -50,7 +50,7 @@ class DistFmmFft {
   const sim::Fabric& fabric() const { return fabric_; }
   sim::Fabric& fabric() { return fabric_; }
 
-  /// The 2D-FFT stage driver (to inspect its slab/pencil decomposition).
+  /// The 2D-FFT stage driver.
   const Dist2dFft<Real>& fft2d() const { return fft2d_; }
 
   /// Stats of device `r`'s engine for the most recent execute().

@@ -47,10 +47,11 @@ fmm::Params search_best_params_cached(TuningCache& cache, index_t n, index_t g,
                                       int b_max = 8);
 
 // ---------------------------------------------------------------------------
-// Slab-vs-pencil decomposition autotuning (ROADMAP item 2). The distributed
-// drivers consult `choose_decomp*` when the caller (or FMMFFT_DECOMP) says
-// `auto`: the §5 link model prices the one-phase slab exchange against the
+// Slab-vs-pencil decomposition autotuning for the distributed 3D FFT. It
+// consults `choose_decomp` when the caller (or FMMFFT_DECOMP) says `auto`:
+// the §5 link model prices the one-phase slab exchange against the
 // two-phase row/column sub-communicator exchange and the cheaper one wins.
+// The FMM-FFT's 2D stage has one layout, the slab.
 
 /// How a distributed multidimensional transform splits its data across G
 /// devices.
@@ -78,12 +79,10 @@ struct GridShape {
 /// malformed input or non-positive factors.
 GridShape parse_grid(const std::string& text);
 
-/// The most square factorization pr·pc = g with pr ≤ pc (pencil phases want
-/// both sub-communicators near √G).
-GridShape default_grid(int g);
-/// Like default_grid, but constrained to grids feasible for an n0×n1×n2
-/// transform (falls back over squarer→flatter factorizations; returns
-/// {0, 0} when no factorization divides the extents).
+/// The most square factorization pr·pc = g (pencil phases want both
+/// sub-communicators near √G) feasible for an n0×n1×n2 transform, falling
+/// back over squarer→flatter factorizations; {0, 0} when no factorization
+/// divides the extents.
 GridShape default_grid3d(int g, index_t n0, index_t n1, index_t n2);
 
 /// Divisibility preconditions of the two data layouts.
@@ -95,8 +94,8 @@ struct DecompDecision {
   Decomp chosen = Decomp::Slab;  ///< never Auto on output
   GridShape grid;                ///< the pencil grid (valid iff chosen == Pencil
                                  ///< or pencil was feasible)
-  double slab_seconds = 0;  ///< modeled decomposition-dependent wall times (3D:
-  double pencil_seconds = 0;  ///< full transform; 2D: the exchange phase)
+  double slab_seconds = 0;    ///< modeled wall times of the full transform
+  double pencil_seconds = 0;  ///< in each layout
   bool slab_feasible = false;
   bool pencil_feasible = false;
   bool model_decided = false;  ///< true when `requested` was Auto
@@ -109,15 +108,5 @@ struct DecompDecision {
 DecompDecision choose_decomp(Decomp requested, GridShape requested_grid, index_t n0,
                              index_t n1, index_t n2, int g, const Workload& w,
                              const ArchParams& arch);
-
-/// Same decision for the 2D M×P transform, where "pencil" means the
-/// factorized two-phase exchange of the same Π_{M,P} permutation (any pr·pc
-/// = g grid is feasible whenever the slab layout is). Both variants are
-/// priced, but Auto always keeps the slab here: factorizing one transpose
-/// doubles the fabric bytes with no feasibility or locality gain, so the
-/// two-phase form is explicit-request only (the returned slab/pencil
-/// seconds still expose the modeled latency trade).
-DecompDecision choose_decomp_2d(Decomp requested, GridShape requested_grid, index_t m,
-                                index_t p, int g, const Workload& w, const ArchParams& arch);
 
 }  // namespace fmmfft::model

@@ -97,24 +97,19 @@ struct NonuniformFmm<T>::Impl {
     for (index_t s = 2; s <= (index_t(1) << b) - 2; ++s) m2l_op[{b, s}] = build(b, s);
   }
 
-  void apply(const Cx* charges, Cx* out) const {
-    const index_t nb_leaf = index_t(1) << l;
-    // Expansions per level, q coefficients per box.
+  /// The uniform tree between the leaf multipoles and the leaf locals:
+  /// allocate the expansions, let `s2m` fill the leaf multipoles, then M2M
+  /// up to the base, M2L (cousins at levels l..b+1, all non-neighbours at
+  /// the base) with the tables scaled by `m2l_sign`, and L2L down to the
+  /// leaves. Returns the leaf locals, q coefficients per box.
+  template <typename S2M>
+  std::vector<Cx> tree_pass(S2M&& s2m, T m2l_sign) const {
     std::vector<std::vector<Cx>> mult((std::size_t)l + 1), loc((std::size_t)l + 1);
     for (int lev = b; lev <= l; ++lev) {
       mult[(std::size_t)lev].assign((std::size_t)(q * (index_t(1) << lev)), Cx(0));
       loc[(std::size_t)lev].assign((std::size_t)(q * (index_t(1) << lev)), Cx(0));
     }
-
-    // S2M at the leaves.
-    for (index_t bb = 0; bb < nb_leaf; ++bb) {
-      Cx* m = mult[(std::size_t)l].data() + q * bb;
-      const Cx* ch = charges + bb * ml;
-      for (index_t i = 0; i < ml; ++i) {
-        const double* col = s2m_op.data() + i * q;
-        for (int qq = 0; qq < q; ++qq) m[qq] += T(col[qq]) * ch[i];
-      }
-    }
+    s2m(mult[(std::size_t)l].data());
     // M2M up to the base.
     for (int lev = l - 1; lev >= b; --lev) {
       const index_t nbl = index_t(1) << lev;
@@ -128,32 +123,30 @@ struct NonuniformFmm<T>::Impl {
         }
       }
     }
-    // M2L: cousins at levels l..b+1, all non-neighbours at the base.
+    // M2L. Negating a table entry is exact, so the transpose's negated
+    // tables round exactly as subtracting the forward products would.
+    auto m2l = [&](const std::vector<double>& tab, const Cx* src, Cx* dst) {
+      for (int j = 0; j < q; ++j)
+        for (int i = 0; i < q; ++i) dst[i] += m2l_sign * T(tab[(std::size_t)(i + q * j)]) * src[j];
+    };
     for (int lev = l; lev > b; --lev) {
       const index_t nbl = index_t(1) << lev;
       for (index_t bb = 0; bb < nbl; ++bb) {
         const index_t* seps = fmm::cousin_separations(bb % 2 != 0);
-        for (int si = 0; si < fmm::kNumCousins; ++si) {
-          const auto& tab = m2l_op.at({lev, seps[si]});
-          const Cx* src = mult[(std::size_t)lev].data() + q * mod(bb + seps[si], nbl);
-          Cx* dst = loc[(std::size_t)lev].data() + q * bb;
-          for (int j = 0; j < q; ++j)
-            for (int i = 0; i < q; ++i) dst[i] += T(tab[(std::size_t)(i + q * j)]) * src[j];
-        }
+        for (int si = 0; si < fmm::kNumCousins; ++si)
+          m2l(m2l_op.at({lev, seps[si]}),
+              mult[(std::size_t)lev].data() + q * mod(bb + seps[si], nbl),
+              loc[(std::size_t)lev].data() + q * bb);
       }
     }
     {
       const index_t nbl = index_t(1) << b;
       for (index_t bb = 0; bb < nbl; ++bb)
-        for (index_t s = 2; s <= nbl - 2; ++s) {
-          const auto& tab = m2l_op.at({b, s});
-          const Cx* src = mult[(std::size_t)b].data() + q * mod(bb + s, nbl);
-          Cx* dst = loc[(std::size_t)b].data() + q * bb;
-          for (int j = 0; j < q; ++j)
-            for (int i = 0; i < q; ++i) dst[i] += T(tab[(std::size_t)(i + q * j)]) * src[j];
-        }
+        for (index_t s = 2; s <= nbl - 2; ++s)
+          m2l(m2l_op.at({b, s}), mult[(std::size_t)b].data() + q * mod(bb + s, nbl),
+              loc[(std::size_t)b].data() + q * bb);
     }
-    // L2L down to the leaves.
+    // L2L down to the leaves: M2M^T acting on the parent coefficients.
     for (int lev = b; lev < l; ++lev) {
       const index_t nbl = index_t(1) << lev;
       for (index_t bb = 0; bb < nbl; ++bb) {
@@ -161,17 +154,34 @@ struct NonuniformFmm<T>::Impl {
         for (int child = 0; child < 2; ++child) {
           Cx* dst = loc[(std::size_t)(lev + 1)].data() + q * (2 * bb + child);
           const double* op = m2m_op.data() + (std::size_t)(child * q) * q;
-          // L2L = M2M^T acting on the parent coefficients.
           for (int k = 0; k < q; ++k)
             for (int qq = 0; qq < q; ++qq) dst[qq] += T(op[k + qq * q]) * src[k];
         }
       }
     }
+    return std::move(loc[(std::size_t)l]);
+  }
+
+  void apply(const Cx* charges, Cx* out) const {
+    const index_t nb_leaf = index_t(1) << l;
+    // S2M at the leaves.
+    const std::vector<Cx> leaf_loc = tree_pass(
+        [&](Cx* mult) {
+          for (index_t bb = 0; bb < nb_leaf; ++bb) {
+            Cx* m = mult + q * bb;
+            const Cx* ch = charges + bb * ml;
+            for (index_t i = 0; i < ml; ++i) {
+              const double* col = s2m_op.data() + i * q;
+              for (int qq = 0; qq < q; ++qq) m[qq] += T(col[qq]) * ch[i];
+            }
+          }
+        },
+        T(1));
 
     // L2T + near field, per sorted target.
     std::vector<double> lag(static_cast<std::size_t>(q));
     for (index_t bb = 0; bb < nb_leaf; ++bb) {
-      const Cx* lcoef = loc[(std::size_t)l].data() + q * bb;
+      const Cx* lcoef = leaf_loc.data() + q * bb;
       for (index_t si = box_start[(std::size_t)bb]; si < box_start[(std::size_t)bb + 1]; ++si) {
         const index_t j = perm[(std::size_t)si];
         const double xj = double(x[(std::size_t)j]);
@@ -205,77 +215,26 @@ struct NonuniformFmm<T>::Impl {
     //   L2T  <- evaluation at the uniform grid (the forward S2M matrix),
     // and M2M/L2L unchanged (basis translations are kernel-independent).
     const index_t nb_leaf = index_t(1) << l;
-    std::vector<std::vector<Cx>> mult((std::size_t)l + 1), loc((std::size_t)l + 1);
-    for (int lev = b; lev <= l; ++lev) {
-      mult[(std::size_t)lev].assign((std::size_t)(q * (index_t(1) << lev)), Cx(0));
-      loc[(std::size_t)lev].assign((std::size_t)(q * (index_t(1) << lev)), Cx(0));
-    }
-
     // S2M from the nonuniform points.
     std::vector<double> lag(static_cast<std::size_t>(q));
-    for (index_t bb = 0; bb < nb_leaf; ++bb) {
-      Cx* m = mult[(std::size_t)l].data() + q * bb;
-      for (index_t si = box_start[(std::size_t)bb]; si < box_start[(std::size_t)bb + 1]; ++si) {
-        const index_t j = perm[(std::size_t)si];
-        const double zj = 2.0 * (double(x[(std::size_t)j]) - double(bb) * w_leaf) / w_leaf - 1.0;
-        fmm::lagrange_eval(q, std::clamp(zj, -1.0, 1.0), lag.data());
-        for (int qq = 0; qq < q; ++qq) m[qq] += T(lag[(std::size_t)qq]) * charges[j];
-      }
-    }
-    // M2M (identical to the forward pass).
-    for (int lev = l - 1; lev >= b; --lev) {
-      const index_t nbl = index_t(1) << lev;
-      for (index_t bb = 0; bb < nbl; ++bb) {
-        Cx* dst = mult[(std::size_t)lev].data() + q * bb;
-        for (int child = 0; child < 2; ++child) {
-          const Cx* src = mult[(std::size_t)(lev + 1)].data() + q * (2 * bb + child);
-          const double* op = m2m_op.data() + (std::size_t)(child * q) * q;
-          for (int k = 0; k < q; ++k)
-            for (int qq = 0; qq < q; ++qq) dst[qq] += T(op[qq + k * q]) * src[k];
-        }
-      }
-    }
-    // M2L with negated tables.
-    for (int lev = l; lev > b; --lev) {
-      const index_t nbl = index_t(1) << lev;
-      for (index_t bb = 0; bb < nbl; ++bb) {
-        const index_t* seps = fmm::cousin_separations(bb % 2 != 0);
-        for (int si = 0; si < fmm::kNumCousins; ++si) {
-          const auto& tab = m2l_op.at({lev, seps[si]});
-          const Cx* src = mult[(std::size_t)lev].data() + q * mod(bb + seps[si], nbl);
-          Cx* dst = loc[(std::size_t)lev].data() + q * bb;
-          for (int j = 0; j < q; ++j)
-            for (int i = 0; i < q; ++i) dst[i] -= T(tab[(std::size_t)(i + q * j)]) * src[j];
-        }
-      }
-    }
-    {
-      const index_t nbl = index_t(1) << b;
-      for (index_t bb = 0; bb < nbl; ++bb)
-        for (index_t s = 2; s <= nbl - 2; ++s) {
-          const auto& tab = m2l_op.at({b, s});
-          const Cx* src = mult[(std::size_t)b].data() + q * mod(bb + s, nbl);
-          Cx* dst = loc[(std::size_t)b].data() + q * bb;
-          for (int j = 0; j < q; ++j)
-            for (int i = 0; i < q; ++i) dst[i] -= T(tab[(std::size_t)(i + q * j)]) * src[j];
-        }
-    }
-    // L2L (identical to the forward pass).
-    for (int lev = b; lev < l; ++lev) {
-      const index_t nbl = index_t(1) << lev;
-      for (index_t bb = 0; bb < nbl; ++bb) {
-        const Cx* src = loc[(std::size_t)lev].data() + q * bb;
-        for (int child = 0; child < 2; ++child) {
-          Cx* dst = loc[(std::size_t)(lev + 1)].data() + q * (2 * bb + child);
-          const double* op = m2m_op.data() + (std::size_t)(child * q) * q;
-          for (int k = 0; k < q; ++k)
-            for (int qq = 0; qq < q; ++qq) dst[qq] += T(op[k + qq * q]) * src[k];
-        }
-      }
-    }
+    const std::vector<Cx> leaf_loc = tree_pass(
+        [&](Cx* mult) {
+          for (index_t bb = 0; bb < nb_leaf; ++bb) {
+            Cx* m = mult + q * bb;
+            for (index_t si = box_start[(std::size_t)bb]; si < box_start[(std::size_t)bb + 1];
+                 ++si) {
+              const index_t j = perm[(std::size_t)si];
+              const double zj =
+                  2.0 * (double(x[(std::size_t)j]) - double(bb) * w_leaf) / w_leaf - 1.0;
+              fmm::lagrange_eval(q, std::clamp(zj, -1.0, 1.0), lag.data());
+              for (int qq = 0; qq < q; ++qq) m[qq] += T(lag[(std::size_t)qq]) * charges[j];
+            }
+          }
+        },
+        T(-1));
     // L2T at the uniform grid + direct near field.
     for (index_t bb = 0; bb < nb_leaf; ++bb) {
-      const Cx* lcoef = loc[(std::size_t)l].data() + q * bb;
+      const Cx* lcoef = leaf_loc.data() + q * bb;
       for (index_t i = 0; i < ml; ++i) {
         const index_t m = bb * ml + i;
         Cx acc(0);

@@ -73,12 +73,12 @@ TrafficTotals ledger_sum(const Snapshot& snap, const std::string& prefix) {
 
 constexpr double kExact = 1e-9;  // summation noise on counts that must agree
 
-/// The checks both distributed FFT stages share, for `runs` transforms over
+/// The checks the 2D stage and the 3D FFT share, for `runs` transforms over
 /// the complex grid `extents` (`eb` bytes per element) on g devices:
 ///  * the exchange payload — slab: every device ships all but its own slab
-///    once, (G-1)/G·N elements in the one `slab_tag` exchange; pencil
-///    (pr > 0): the same permutation factorizes into a row phase moving
-///    (pc-1)/pc·N and a column phase moving (pr-1)/pr·N;
+///    once, (G-1)/G·N elements in the one `slab_tag` exchange; the 3D
+///    pencil (pr > 0): a row phase moving (pc-1)/pc·N and a column phase
+///    moving (pr-1)/pr·N;
 ///  * the batched line FFTs' data passes: summed over devices, one
 ///    transform along each extent per line, each reading and writing
 ///    fft_passes full lines (the count Plan1D books). Predictable only for
@@ -110,8 +110,7 @@ void check_exchange_and_passes(ModelReport& rep, const Snapshot& snap, const cha
 }  // namespace
 
 ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
-                                       double real_bytes, int runs, double trans_bytes,
-                                       int pr, int pc) {
+                                       double real_bytes, int runs, double trans_bytes) {
   const auto snap = TrafficLedger::global().snapshot();
   const double r = double(runs), gd = double(g);
   const double n = double(prm.n);
@@ -129,7 +128,7 @@ ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, i
 
   ModelReport rep;
   check_exchange_and_passes(rep, snap, "comm.A2A-2D", {prm.p, prm.m()}, g, 2.0 * real_bytes, r,
-                            pr, pc);
+                            /*pr=*/0, /*pc=*/0);
   // Each of M/G size-P + P/G size-M transforms per device; summed over
   // devices (or the G = 1 plan) that is exactly 5·N·log2(N).
   rep.checks.push_back({"traffic.fft_flops", sum("fft").flops, r * 5.0 * n * std::log2(n),

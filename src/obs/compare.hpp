@@ -54,7 +54,8 @@ struct ModelReport {
 ///
 /// Checked, each exact (~1e-9, pure floating-point summation noise; the
 /// launch count at tolerance 0):
-///  * the 2D-FFT stage's exchange payload (`pr`/`pc` below)
+///  * the 2D-FFT stage's exchange payload: one A2A-2D exchange of
+///    (G-1)/G·N elements
 ///  * comm.COMM-S / COMM-M* / COMM-MB vs model::exact_fmm_comm
 ///  * fmm.* bytes (read+written), flops and calls (one per kernel launch)
 ///    vs model::exact_fmm_counts
@@ -66,13 +67,9 @@ struct ModelReport {
 /// Plus the paper's §5.2 closed forms vs the same comm.COMM-* payloads at
 /// the documented loose tolerances (the p = 0 slice and local-slab
 /// conventions differ; see model::exact_fmm_comm).
-/// `pr`/`pc`: the 2D-FFT stage's decomposition. 0/0 (default) = slab, one
-/// A2A-2D exchange of (G-1)/G·N elements; pr > 0 = the pencil two-phase
-/// exchange over a pr×pc grid, checked as comm.A2A-ROW = (pc-1)/pc·N and
-/// comm.A2A-COL = (pr-1)/pr·N element payloads instead.
 ModelReport compare_traffic_with_model(const fmm::Params& prm, int components, index_t g,
                                        double real_bytes, int runs = 1,
-                                       double trans_bytes = 0, int pr = 0, int pc = 0);
+                                       double trans_bytes = 0);
 
 /// Traffic cross-validation for `runs` executions of a distributed
 /// n0×n1×n2 3D FFT (dist::Dist3dFft) on g devices. `pr` = 0 checks the

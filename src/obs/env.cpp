@@ -22,18 +22,16 @@ const std::vector<Knob>& registry() {
        "FMM translation precision: fp64 | mixed (fp32 operators, kernels and "
        "comm payloads under an fp64 shell)"},
       {"FMMFFT_DECOMP", "enum", "auto",
-       "distributed 2D/3D decomposition: auto (cost model) | slab (one-phase "
+       "distributed 3D FFT decomposition: auto (cost model) | slab (one-phase "
        "all-to-all) | pencil (two-phase row/column sub-communicators)"},
       {"FMMFFT_GRID", "string", "(squarest)",
-       "pencil processor grid as PRxPC (e.g. 2x4); must multiply to the device "
-       "count and divide the transform extents"},
+       "3D pencil processor grid as PRxPC (e.g. 2x4); must multiply to the "
+       "device count and divide the transform extents"},
       {"FMMFFT_FLIGHT", "flag", "0",
        "enable the always-on flight recorder (per-thread rings of recent events)"},
       {"FMMFFT_WATCHDOG_MS", "int", "0",
        "progress deadline in ms; >0 starts the watchdog thread (also arms the "
        "flight recorder)"},
-      {"FMMFFT_SAMPLE_HZ", "float", "0",
-       "span-sampler rate; >0 starts the low-rate time-in-stage sampler thread"},
       {"FMMFFT_POSTMORTEM", "path", "fmmfft.postmortem.json",
        "postmortem dump path; setting it arms crash handlers + flight recorder"},
       {"FMMFFT_FAULT_STALL_TASK", "int", "(unset)",
@@ -65,14 +63,6 @@ long long get_int(const char* name, long long def) {
   if (!v || !*v) return def;
   char* end = nullptr;
   const long long parsed = std::strtoll(v, &end, 10);
-  return end != v ? parsed : def;
-}
-
-double get_double(const char* name, double def) {
-  const char* v = get(name);
-  if (!v || !*v) return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
   return end != v ? parsed : def;
 }
 

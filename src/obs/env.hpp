@@ -19,7 +19,7 @@ namespace fmmfft::obs::env {
 /// One registered knob. All strings are literals with static lifetime.
 struct Knob {
   const char* name;  ///< "FMMFFT_TRACE"
-  const char* kind;  ///< "path" | "int" | "float" | "flag" | "enum"
+  const char* kind;  ///< "path" | "int" | "flag" | "enum" | "string"
   const char* def;   ///< default shown in the table ("(unset)", "auto", ...)
   const char* desc;  ///< one-line description
 };
@@ -32,9 +32,6 @@ const char* get(const char* name);
 
 /// Integer knob: parsed value when set and parseable, `def` otherwise.
 long long get_int(const char* name, long long def);
-
-/// Floating-point knob: parsed value when set and parseable, `def` otherwise.
-double get_double(const char* name, double def);
 
 /// Human-readable table of the whole registry with current values
 /// (the body of `fmmfft_cli --env`).

@@ -24,7 +24,6 @@ namespace fmmfft::obs::health {
 
 namespace detail {
 std::atomic<bool> g_flight_enabled{false};
-std::atomic<bool> g_sampling_enabled{false};
 }  // namespace detail
 
 const char* ev_name(Ev kind) {
@@ -329,181 +328,6 @@ std::string last_verdict() {
 }
 
 // ---------------------------------------------------------------------------
-// Span sampler
-
-namespace {
-
-constexpr int kMaxSlots = 128;
-constexpr int kSpanDepthMax = 12;
-constexpr int kSpanWords = 5;  // 40 chars, matches SpanEvent::kNameCap
-
-struct SpanSlot {
-  std::atomic<std::uint32_t> ver{0};
-  std::atomic<int> depth{0};
-  std::atomic<std::uint64_t> words[kSpanDepthMax][kSpanWords] = {};
-  int own_depth = 0;  ///< owner-thread logical depth (may exceed kSpanDepthMax)
-};
-
-std::atomic<SpanSlot*> g_slots[kMaxSlots] = {};
-std::atomic<int> g_slot_count{0};
-thread_local SpanSlot* tls_slot = nullptr;
-thread_local bool tls_slot_denied = false;
-
-SpanSlot* span_slot() {
-  if (tls_slot) return tls_slot;
-  if (tls_slot_denied) return nullptr;
-  const int idx = g_slot_count.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxSlots) {
-    tls_slot_denied = true;
-    return nullptr;
-  }
-  auto* slot = new SpanSlot;  // leaked: must outlive the sampler thread
-  g_slots[idx].store(slot, std::memory_order_release);
-  return tls_slot = slot;
-}
-
-struct Sampler {
-  std::mutex mu;  // counts + thread management
-  std::condition_variable cv;
-  std::map<std::string, std::uint64_t> counts;
-  std::uint64_t samples = 0;
-  std::thread thread;
-  bool running = false;
-  std::atomic<double> hz{0.0};
-};
-
-Sampler& sampler() {
-  static Sampler* s = new Sampler;
-  return *s;
-}
-
-/// Read slot's innermost open span name; "" when idle, nullopt-style false
-/// on persistent tearing (counted as idle).
-bool read_innermost(const SpanSlot& slot, char (&buf)[8 * kSpanWords + 1]) {
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint32_t v1 = slot.ver.load(std::memory_order_acquire);
-    if (v1 % 2) continue;
-    const int d = slot.depth.load(std::memory_order_relaxed);
-    if (d <= 0) {
-      buf[0] = '\0';
-      return true;
-    }
-    const int top = std::min(d, kSpanDepthMax) - 1;
-    std::uint64_t words[kSpanWords];
-    for (int i = 0; i < kSpanWords; ++i)
-      words[i] = slot.words[top][i].load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.ver.load(std::memory_order_relaxed) != v1) continue;
-    std::memcpy(buf, words, sizeof words);
-    buf[8 * kSpanWords] = '\0';
-    return true;
-  }
-  return false;
-}
-
-void sampler_loop() {
-  Sampler& s = sampler();
-  std::unique_lock<std::mutex> lk(s.mu);
-  for (;;) {
-    const double hz = s.hz.load(std::memory_order_relaxed);
-    if (hz <= 0) return;
-    const auto period = std::chrono::microseconds(
-        std::max<long>(1000, std::min<long>(long(1e6 / hz), 1000000)));
-    s.cv.wait_for(lk, period);
-    if (s.hz.load(std::memory_order_relaxed) <= 0) return;
-    const int n = std::min(g_slot_count.load(std::memory_order_relaxed), kMaxSlots);
-    for (int i = 0; i < n; ++i) {
-      const SpanSlot* slot = g_slots[i].load(std::memory_order_acquire);
-      if (!slot) continue;
-      char name[8 * kSpanWords + 1];
-      if (!read_innermost(*slot, name) || !name[0])
-        ++s.counts["(idle)"];
-      else
-        ++s.counts[name];
-      ++s.samples;
-    }
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-void span_push(const char* name) {
-  SpanSlot* slot = span_slot();
-  if (!slot) return;
-  const int d = slot->own_depth++;
-  if (d >= kSpanDepthMax) {
-    slot->depth.store(slot->own_depth, std::memory_order_release);
-    return;
-  }
-  char buf[8 * kSpanWords] = {};
-  std::strncpy(buf, name, sizeof buf - 1);
-  std::uint64_t words[kSpanWords];
-  std::memcpy(words, buf, sizeof buf);
-  slot->ver.fetch_add(1, std::memory_order_release);
-  for (int i = 0; i < kSpanWords; ++i)
-    slot->words[d][i].store(words[i], std::memory_order_relaxed);
-  slot->depth.store(slot->own_depth, std::memory_order_relaxed);
-  slot->ver.fetch_add(1, std::memory_order_release);
-}
-
-void span_pop() {
-  SpanSlot* slot = tls_slot;
-  if (!slot || slot->own_depth <= 0) return;
-  slot->depth.store(--slot->own_depth, std::memory_order_release);
-}
-
-}  // namespace detail
-
-void enable_sampler(double hz) {
-  Sampler& s = sampler();
-  std::thread finished;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.hz.store(hz > 0 ? hz : 0.0, std::memory_order_relaxed);
-    if (hz > 0) {
-      detail::g_sampling_enabled.store(true, std::memory_order_relaxed);
-      obs::detail::update_span_hooks();
-      if (!s.running) {
-        s.running = true;
-        s.thread = std::thread(sampler_loop);
-      }
-    } else {
-      detail::g_sampling_enabled.store(false, std::memory_order_relaxed);
-      obs::detail::update_span_hooks();
-      if (s.running) {
-        s.running = false;
-        finished = std::move(s.thread);
-      }
-    }
-  }
-  s.cv.notify_all();
-  if (finished.joinable()) finished.join();
-}
-
-bool sampler_enabled() { return sampler().hz.load(std::memory_order_relaxed) > 0; }
-
-std::map<std::string, std::uint64_t> sampler_snapshot() {
-  Sampler& s = sampler();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.counts;
-}
-
-std::uint64_t sampler_samples() {
-  Sampler& s = sampler();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.samples;
-}
-
-void sampler_clear() {
-  Sampler& s = sampler();
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.counts.clear();
-  s.samples = 0;
-}
-
-// ---------------------------------------------------------------------------
 // Postmortem
 
 namespace {
@@ -573,14 +397,6 @@ bool write_postmortem(const std::string& path, const std::string& cause,
   jw.kv("fires", double(watchdog_fires()));
   jw.end_object();
   write_flight_json(jw);
-  jw.key("sampler");
-  jw.begin_object();
-  jw.kv("samples", double(sampler_samples()));
-  jw.key("spans");
-  jw.begin_object();
-  for (const auto& [name, count] : sampler_snapshot()) jw.kv(name, double(count));
-  jw.end_object();
-  jw.end_object();
   {
     std::ostringstream metrics;
     Metrics::global().write_json(metrics);
@@ -736,7 +552,6 @@ void init_from_env() {
   done = true;
   if (env::get_int("FMMFFT_FLIGHT", 0) > 0) enable_flight(true);
   const long long watchdog_ms = env::get_int("FMMFFT_WATCHDOG_MS", 0);
-  const double sample_hz = env::get_double("FMMFFT_SAMPLE_HZ", 0.0);
   const char* pm = env::get("FMMFFT_POSTMORTEM");
   if (pm && *pm) {
     set_postmortem_path(pm);
@@ -745,7 +560,6 @@ void init_from_env() {
     install_crash_handlers();
   }
   if (watchdog_ms > 0) enable_watchdog(std::uint64_t(watchdog_ms));
-  if (sample_hz > 0) enable_sampler(sample_hz);
 }
 
 namespace {

@@ -1,8 +1,8 @@
-// Runtime health layer: flight recorder, watchdog, span sampler, postmortem.
+// Runtime health layer: flight recorder, watchdog, postmortem.
 //
 // The tracer/metrics/ledger (obs.hpp, traffic.hpp) explain a run after it
 // finishes; this subsystem observes a run *while it executes* and captures
-// forensic state when it fails. Four facilities share the usual on/off
+// forensic state when it fails. Three facilities share the usual on/off
 // discipline (compiled in everywhere, one relaxed atomic load + branch when
 // disabled):
 //
@@ -22,13 +22,8 @@
 //    unfinished dependency chain blocking it; the verdict goes to stderr,
 //    last_verdict(), and a postmortem dump.
 //
-//  * Span sampler — a low-rate thread (FMMFFT_SAMPLE_HZ) snapshotting each
-//    worker's innermost open obs span into time-in-stage sample counts:
-//    continuous attribution with tracing off (the span hooks publish to a
-//    per-thread seqlock stack only while sampling is enabled).
-//
 //  * Postmortem dump — fmmfft.postmortem.v1 JSON (cause + verdict + flight
-//    rings + sampler counts + metrics + traffic ledger), written on
+//    rings + metrics + traffic ledger), written on
 //    watchdog timeout, uncaught task exception (exec::TaskGraph::run), and
 //    fatal signals. The signal path (SIGSEGV/SIGABRT) is async-signal-safe:
 //    a pre-resolved path, write(2), and hand-rolled formatting only, dumping
@@ -42,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,14 +46,10 @@ namespace detail {
 // Defined in health.cpp; referencing them from the inline hooks pulls the
 // health TU (and its env initializer) into any binary using them.
 extern std::atomic<bool> g_flight_enabled;
-extern std::atomic<bool> g_sampling_enabled;
 }  // namespace detail
 
 inline bool flight_enabled() {
   return detail::g_flight_enabled.load(std::memory_order_relaxed);
-}
-inline bool sampling_enabled() {
-  return detail::g_sampling_enabled.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,25 +136,6 @@ std::uint64_t watchdog_fires();
 std::string last_verdict();
 
 // ---------------------------------------------------------------------------
-// Span sampler
-
-/// Start (hz > 0) or stop (0) the sampler thread.
-void enable_sampler(double hz);
-bool sampler_enabled();
-/// Sample counts per innermost span name, plus "(idle)" for threads with no
-/// open span. One sample ≈ 1/hz seconds of that thread's time.
-std::map<std::string, std::uint64_t> sampler_snapshot();
-std::uint64_t sampler_samples();
-void sampler_clear();
-
-namespace detail {
-// Called by obs::SpanScope (obs.cpp) while sampling is enabled: maintain
-// the calling thread's current-span stack for the sampler to read.
-void span_push(const char* name);
-void span_pop();
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // Postmortem
 
 /// Resolved dump path (FMMFFT_POSTMORTEM or the default). Stable storage.
@@ -178,7 +149,7 @@ bool postmortem_armed();
 void arm_postmortem(bool on = true);
 
 /// Write a fmmfft.postmortem.v1 JSON dump: cause, verdict, flight rings,
-/// sampler counts, watchdog state, metrics, traffic ledger.
+/// watchdog state, metrics, traffic ledger.
 bool write_postmortem(const std::string& path, const std::string& cause,
                       const std::string& verdict);
 /// write_postmortem to the resolved path, if armed. Returns the path
@@ -197,9 +168,9 @@ namespace detail {
 void write_signal_dump(int sig);
 }  // namespace detail
 
-/// Read the FMMFFT_FLIGHT / FMMFFT_WATCHDOG_MS / FMMFFT_SAMPLE_HZ /
-/// FMMFFT_POSTMORTEM knobs and arm the corresponding facilities. Runs
-/// automatically at startup from health.cpp's initializer.
+/// Read the FMMFFT_FLIGHT / FMMFFT_WATCHDOG_MS / FMMFFT_POSTMORTEM knobs and
+/// arm the corresponding facilities. Runs automatically at startup from
+/// health.cpp's initializer.
 void init_from_env();
 
 }  // namespace fmmfft::obs::health

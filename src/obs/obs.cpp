@@ -18,14 +18,6 @@ namespace detail {
 
 std::atomic<bool> g_trace_enabled{false};
 std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_span_hooks{false};
-
-void update_span_hooks() {
-  g_span_hooks.store(g_trace_enabled.load(std::memory_order_relaxed) ||
-                         health::sampling_enabled(),
-                     std::memory_order_relaxed);
-}
-
 std::uint64_t now_ns() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point epoch = clock::now();
@@ -37,17 +29,10 @@ namespace {
 thread_local int tls_depth = 0;
 }
 
-int enter_span() { return tls_depth++; }
-void leave_span() { --tls_depth; }
-
-int open_span(const char* name) {
-  if (health::sampling_enabled()) health::detail::span_push(name);
-  return enter_span();
-}
+int open_span() { return tls_depth++; }
 
 void close_span(const char* name, std::uint64_t start_ns, int depth) {
-  leave_span();
-  if (health::sampling_enabled()) health::detail::span_pop();
+  --tls_depth;
   if (tracing_enabled()) record_span(name, start_ns, now_ns(), depth);
 }
 
@@ -56,7 +41,6 @@ void close_span(const char* name, std::uint64_t start_ns, int depth) {
 void enable_tracing(bool on) {
   if (on) Recorder::global();  // construct before first lock-free record
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-  detail::update_span_hooks();
 }
 void enable_metrics(bool on) {
   if (on) Metrics::global();
@@ -353,6 +337,10 @@ void init_from_env() {
   static bool done = false;
   if (done) return;
   done = true;
+  // Referencing the health layer links its env initializer (flight
+  // recorder, watchdog, postmortem crash handlers) into every binary that
+  // uses the obs hooks, not only those that run a task graph.
+  (void)health::flight_enabled();
   const char* trace = env::get("FMMFFT_TRACE");
   const char* metrics = env::get("FMMFFT_METRICS");
   if (!trace && !metrics) return;

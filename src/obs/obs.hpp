@@ -44,20 +44,11 @@ namespace detail {
 // its environment-variable initializer) into any binary using the hooks.
 extern std::atomic<bool> g_trace_enabled;
 extern std::atomic<bool> g_metrics_enabled;
-/// True while any span consumer is live: tracing, or the health span
-/// sampler. SpanScope gates on this so the sampler sees the current-span
-/// stack without tracing enabled (same one-load disabled cost).
-extern std::atomic<bool> g_span_hooks;
-/// Recompute g_span_hooks from the tracing + sampling states.
-void update_span_hooks();
 std::uint64_t now_ns();  ///< steady-clock ns since the process epoch
 }  // namespace detail
 
 inline bool tracing_enabled() {
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
-inline bool span_hooks_enabled() {
-  return detail::g_span_hooks.load(std::memory_order_relaxed);
 }
 inline bool metrics_enabled() {
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
@@ -89,12 +80,10 @@ struct SpanEvent {
 
 namespace detail {
 void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns, int depth);
-int enter_span();  ///< returns this span's depth on the current lane
-void leave_span();
-/// Out-of-line SpanScope open/close: enter/leave the lane depth, publish to
-/// the health sampler's per-thread stack while sampling, and record the
-/// completed span while tracing. open_span returns the span's depth.
-int open_span(const char* name);
+/// Out-of-line SpanScope open/close: enter/leave the lane depth and record
+/// the completed span while tracing. open_span returns the span's depth on
+/// the current lane.
+int open_span();
 void close_span(const char* name, std::uint64_t start_ns, int depth);
 }  // namespace detail
 
@@ -103,13 +92,13 @@ void close_span(const char* name, std::uint64_t start_ns, int depth);
 class SpanScope {
  public:
   explicit SpanScope(const char* name) {
-    if (!span_hooks_enabled()) return;
+    if (!tracing_enabled()) return;
     open(name);
   }
   /// Dynamic-suffix form for tagged spans ("COMM-M7", fabric tags). The
   /// string is copied into the event, never retained.
   SpanScope(const char* prefix, const std::string& suffix) {
-    if (!span_hooks_enabled()) return;
+    if (!tracing_enabled()) return;
     char buf[SpanEvent::kNameCap];
     std::snprintf(buf, sizeof buf, "%s%s", prefix, suffix.c_str());
     open(buf);
@@ -126,7 +115,7 @@ class SpanScope {
     active_ = true;
     std::strncpy(name_, name, sizeof name_ - 1);
     name_[sizeof name_ - 1] = '\0';
-    depth_ = detail::open_span(name_);
+    depth_ = detail::open_span();
     start_ = detail::now_ns();
   }
   bool active_ = false;

@@ -90,48 +90,6 @@ TEST(Collectives, FusedMatchesStagedBitIdentical) {
   }
 }
 
-TEST(Collectives, GridTwoPhaseMatchesOnePhaseBitIdentical) {
-  // The factorized row+column exchange is the same Π_{M,P} permutation as
-  // the one-phase fused path (both are pure copies), so outputs must agree
-  // bit-for-bit at every grid shape, with the documented per-phase payload
-  // split: row (pc-1)/pc·N elements, column (pr-1)/pr·N.
-  const index_t m = 32, p = 16;
-  struct Case {
-    int g;
-    ProcGrid grid;
-  };
-  for (const auto& c : {Case{4, {1, 4}}, Case{4, {2, 2}}, Case{4, {4, 1}}, Case{8, {2, 4}},
-                        Case{8, {4, 2}}, Case{16, {4, 4}}}) {
-    const int g = c.g;
-    sim::Fabric fab_one(g), fab_two(g);
-    std::vector<double> x(std::size_t(m * p));
-    fill_uniform(x.data(), m * p, 40 + g + c.grid.pr);
-    const index_t slab = m * p / g;
-    std::vector<double> y1(x.size(), -1.0), y2(x.size(), -2.0), wk(x.size(), 0.0);
-    std::vector<double*> in, o1, o2, w;
-    for (int r = 0; r < g; ++r) {
-      in.push_back(x.data() + r * slab);
-      o1.push_back(y1.data() + r * slab);
-      o2.push_back(y2.data() + r * slab);
-      w.push_back(wk.data() + r * slab);
-    }
-    all_to_all_permute_mp(fab_one, in, o1, m, p, "A2A-2D");
-    all_to_all_permute_mp_grid(fab_two, in, o2, w, m, p, c.grid);
-    EXPECT_EQ(y1, y2) << "g=" << g << " grid=" << c.grid.pr << "x" << c.grid.pc;
-    const double n = double(m * p);
-    EXPECT_DOUBLE_EQ(fab_two.bytes_with_tag("A2A-ROW"),
-                     double(c.grid.pc - 1) / c.grid.pc * n * sizeof(double));
-    EXPECT_DOUBLE_EQ(fab_two.bytes_with_tag("A2A-COL"),
-                     double(c.grid.pr - 1) / c.grid.pr * n * sizeof(double));
-    // Every device sends the same share of each phase (symmetric grids and
-    // uniform blocks), and nothing else crosses the fabric.
-    EXPECT_DOUBLE_EQ(fab_two.total_bytes(), fab_two.bytes_with_tag("A2A-ROW") +
-                                                fab_two.bytes_with_tag("A2A-COL"));
-    for (int r = 0; r < g; ++r)
-      EXPECT_DOUBLE_EQ(fab_two.bytes_sent_by(r), fab_two.total_bytes() / g) << "r=" << r;
-  }
-}
-
 TEST(Collectives, HaloExchangeRing) {
   const int g = 4;
   const index_t h = 3;
@@ -232,17 +190,14 @@ TEST(Dist2d, MatchesSerial2dFft) {
     std::vector<Cd> tmp(ref.size());
     permute_mp(ref.data(), tmp.data(), m, p);
     fm.execute_batched(tmp.data(), p, fft::Direction::Forward);
-    std::vector<std::pair<model::Decomp, model::GridShape>> layouts{{model::Decomp::Slab, {}}};
-    if (g == 4) layouts.push_back({model::Decomp::Pencil, {2, 2}});
-    for (const auto& [decomp, grid] : layouts)
-      for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
-        exec::ScopedMode sm(mode);
-        Dist2dFft<double> fftd(m, p, g, decomp, grid);
-        std::vector<Cd> got(x.size());
-        fftd.execute(x.data(), got.data());
-        EXPECT_EQ(0, std::memcmp(got.data(), tmp.data(), got.size() * sizeof(Cd)))
-            << "g=" << g << " " << model::to_string(decomp) << " mode=" << int(mode);
-      }
+    for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
+      exec::ScopedMode sm(mode);
+      Dist2dFft<double> fftd(m, p, g);
+      std::vector<Cd> got(x.size());
+      fftd.execute(x.data(), got.data());
+      EXPECT_EQ(0, std::memcmp(got.data(), tmp.data(), got.size() * sizeof(Cd)))
+          << "g=" << g << " mode=" << int(mode);
+    }
   }
 }
 
@@ -258,58 +213,13 @@ TEST(Dist2d, SingleAllToAll) {
   EXPECT_DOUBLE_EQ(fftd.fabric().total_bytes(), fftd.fabric().bytes_with_tag("A2A-2D"));
 }
 
-TEST(Dist2d, PencilBitIdenticalToSlabAllGridsAndModes) {
-  // Same FFT lines, same per-line plans — only the exchange factorizes, and
-  // it factorizes into pure copies. Slab and every pencil grid must agree
-  // bit-for-bit under both executors.
-  const index_t m = 64, p = 32;
-  const int g = 4;
-  std::vector<Cd> x(static_cast<std::size_t>(m * p));
-  fill_uniform(x.data(), m * p, 23);
-  auto run = [&](model::Decomp d, model::GridShape grid, exec::Mode mode) {
-    std::vector<Cd> y(x.size());
-    exec::ScopedMode sm(mode);
-    Dist2dFft<double> fftd(m, p, g, d, grid);
-    fftd.execute(x.data(), y.data());
-    return y;
-  };
-  const auto slab = run(model::Decomp::Slab, {}, exec::Mode::Serial);
-  for (model::GridShape grid : {model::GridShape{1, 4}, {2, 2}, {4, 1}}) {
-    for (exec::Mode mode : {exec::Mode::Serial, exec::Mode::Async}) {
-      const auto y = run(model::Decomp::Pencil, grid, mode);
-      EXPECT_EQ(0, std::memcmp(slab.data(), y.data(), slab.size() * sizeof(Cd)))
-          << grid.pr << "x" << grid.pc << " mode=" << int(mode);
-    }
-  }
-  EXPECT_EQ(slab, run(model::Decomp::Slab, {}, exec::Mode::Async));
-}
-
-TEST(Dist2d, PencilTwoPhaseVolumes) {
-  const index_t m = 64, p = 32;
-  const int g = 4, pr = 2, pc = 2;
-  std::vector<Cd> x(static_cast<std::size_t>(m * p)), y(x.size());
-  fill_uniform(x.data(), m * p, 9);
-  Dist2dFft<double> fftd(m, p, g, model::Decomp::Pencil, {pr, pc});
-  EXPECT_EQ(fftd.decomp(), model::Decomp::Pencil);
-  fftd.execute(x.data(), y.data());
-  const double n = double(m * p);
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-ROW"),
-                   double(pc - 1) / pc * n * sizeof(Cd));
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-COL"),
-                   double(pr - 1) / pr * n * sizeof(Cd));
-  EXPECT_DOUBLE_EQ(fftd.fabric().bytes_with_tag("A2A-2D"), 0.0);
-}
-
-TEST(Dist2d, PencilFloatLegMatchesSlab) {
-  const index_t m = 32, p = 16;
-  std::vector<std::complex<float>> x(static_cast<std::size_t>(m * p)), ys(x.size()),
-      yp(x.size());
-  fill_uniform(x.data(), m * p, 55);
-  Dist2dFft<float> slab(m, p, 4, model::Decomp::Slab);
-  Dist2dFft<float> pencil(m, p, 4, model::Decomp::Pencil, {2, 2});
-  slab.execute(x.data(), ys.data());
-  pencil.execute(x.data(), yp.data());
-  EXPECT_EQ(0, std::memcmp(ys.data(), yp.data(), ys.size() * sizeof(ys[0])));
+TEST(Dist2d, PencilRequestRejected) {
+  // The 2D stage has one layout: an explicit pencil request is an error,
+  // never a silent slab run; Auto and Slab both build the slab exchange.
+  EXPECT_THROW(Dist2dFft<double>(64, 32, 4, model::Decomp::Pencil), Error);
+  EXPECT_THROW(Dist2dFft<float>(64, 32, 4, model::Decomp::Pencil), Error);
+  EXPECT_EQ(Dist2dFft<double>(64, 32, 4, model::Decomp::Auto).decomp(), model::Decomp::Slab);
+  EXPECT_EQ(Dist2dFft<double>(64, 32, 4, model::Decomp::Slab).decomp(), model::Decomp::Slab);
 }
 
 struct DistCase {

@@ -32,45 +32,6 @@ std::vector<Cx<T>> random_signal(index_t n, std::uint64_t seed) {
   return v;
 }
 
-class FftSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(FftSizes, ForwardMatchesReferenceDouble) {
-  const index_t n = GetParam();
-  auto x = random_signal<double>(n, n);
-  std::vector<Cx<double>> ref(n);
-  dft_reference(x.data(), ref.data(), n);
-  fft(x.data(), n, Direction::Forward);
-  EXPECT_LT(rel_l2_error(x.data(), ref.data(), n), 1e-12) << "n=" << n;
-}
-
-TEST_P(FftSizes, ForwardMatchesReferenceFloat) {
-  const index_t n = GetParam();
-  auto x = random_signal<float>(n, n + 1);
-  std::vector<Cx<float>> ref(n);
-  dft_reference(x.data(), ref.data(), n);
-  fft(x.data(), n, Direction::Forward);
-  EXPECT_LT(rel_l2_error(x.data(), ref.data(), n), 2e-5) << "n=" << n;
-}
-
-TEST_P(FftSizes, RoundTripIsIdentity) {
-  const index_t n = GetParam();
-  auto x = random_signal<double>(n, 2 * n);
-  auto orig = x;
-  Plan1D<double> plan(n);
-  plan.execute(x.data(), Direction::Forward);
-  plan.execute(x.data(), Direction::Inverse);
-  normalize(x.data(), n, n);
-  EXPECT_LT(rel_l2_error(x.data(), orig.data(), n), 1e-13) << "n=" << n;
-}
-
-// Every power of two through 2^12 — both radix-4 stage counts (even log2)
-// and the radix-2 cleanup path (odd log2) at every depth.
-INSTANTIATE_TEST_SUITE_P(Pow2, FftSizes,
-                         ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
-                                           4096));
-INSTANTIATE_TEST_SUITE_P(Bluestein, FftSizes,
-                         ::testing::Values(3, 5, 6, 7, 12, 15, 17, 100, 243, 1000));
-
 /// Forward DFT of a power-of-two line in long double: recursive radix-2
 /// decimation in time, each twiddle from cos/sin of its own angle. It shares
 /// no code with Plan1D and is O(n log n), so large sizes stay cheap.
@@ -94,6 +55,60 @@ std::vector<Cx<long double>> fft_reference_pow2(const std::vector<Cx<long double
   return y;
 }
 
+/// The reference spectrum of `x`: the O(n log n) long-double radix-2 FFT
+/// for power-of-two n ≥ 4096, where the O(n²) dft_reference would cost
+/// seconds, and dft_reference below that and for every other n.
+template <typename T>
+std::vector<Cx<T>> reference_spectrum(const std::vector<Cx<T>>& x) {
+  const index_t n = index_t(x.size());
+  std::vector<Cx<T>> ref(x.size());
+  if (is_pow2(n) && n >= 4096) {
+    const auto ref_ld = fft_reference_pow2(std::vector<Cx<long double>>(x.begin(), x.end()));
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ref[i] = Cx<T>(T(ref_ld[i].real()), T(ref_ld[i].imag()));
+  } else {
+    dft_reference(x.data(), ref.data(), n);
+  }
+  return ref;
+}
+
+class FftSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(FftSizes, ForwardMatchesReferenceDouble) {
+  const index_t n = GetParam();
+  auto x = random_signal<double>(n, n);
+  const auto ref = reference_spectrum(x);
+  fft(x.data(), n, Direction::Forward);
+  EXPECT_LT(rel_l2_error(x.data(), ref.data(), n), 1e-12) << "n=" << n;
+}
+
+TEST_P(FftSizes, ForwardMatchesReferenceFloat) {
+  const index_t n = GetParam();
+  auto x = random_signal<float>(n, n + 1);
+  const auto ref = reference_spectrum(x);
+  fft(x.data(), n, Direction::Forward);
+  EXPECT_LT(rel_l2_error(x.data(), ref.data(), n), 2e-5) << "n=" << n;
+}
+
+TEST_P(FftSizes, RoundTripIsIdentity) {
+  const index_t n = GetParam();
+  auto x = random_signal<double>(n, 2 * n);
+  auto orig = x;
+  Plan1D<double> plan(n);
+  plan.execute(x.data(), Direction::Forward);
+  plan.execute(x.data(), Direction::Inverse);
+  normalize(x.data(), n, n);
+  EXPECT_LT(rel_l2_error(x.data(), orig.data(), n), 1e-13) << "n=" << n;
+}
+
+// Every power of two through 2^12 — both radix-4 stage counts (even log2)
+// and the radix-2 cleanup path (odd log2) at every depth.
+INSTANTIATE_TEST_SUITE_P(Pow2, FftSizes,
+                         ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                                           4096));
+INSTANTIATE_TEST_SUITE_P(Bluestein, FftSizes,
+                         ::testing::Values(3, 5, 6, 7, 12, 15, 17, 100, 243, 1000));
+
 TEST(Fft, LargePow2MatchesReference) {
   // Four-step lines, n1 columns × 128-point rows, against a long-double
   // radix-2 reference, double only: 2^13 = 2^6·2^7 (an odd stage count in
@@ -101,10 +116,7 @@ TEST(Fft, LargePow2MatchesReference) {
   // and 2^17 = 2^10·2^7.
   for (index_t n : {index_t(8192), index_t(16384), index_t(1) << 17}) {
     auto x = random_signal<double>(n, 77 + n);
-    const auto ref_ld = fft_reference_pow2(std::vector<Cx<long double>>(x.begin(), x.end()));
-    std::vector<Cx<double>> ref(ref_ld.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ref[i] = Cx<double>(double(ref_ld[i].real()), double(ref_ld[i].imag()));
+    const auto ref = reference_spectrum(x);
     fft(x.data(), n, Direction::Forward);
     EXPECT_LT(rel_l2_error(x.data(), ref.data(), n), 1e-11) << "n=" << n;
   }

@@ -1,6 +1,6 @@
 // Runtime health layer: flight recorder, env registry, watchdog (no false
-// positive / guaranteed fire with stall attribution), span sampler, and
-// postmortem dumps (writer path + async-signal-safe path).
+// positive / guaranteed fire with stall attribution), and postmortem dumps
+// (writer path + async-signal-safe path).
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -57,10 +57,8 @@ void sleep_ms(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms
 struct HealthQuiesce {
   ~HealthQuiesce() {
     health::enable_watchdog(0);
-    health::enable_sampler(0);
     health::enable_flight(false);
     health::arm_postmortem(false);
-    fmmfft::obs::detail::update_span_hooks();
   }
 };
 
@@ -157,12 +155,9 @@ TEST(EnvRegistry, KnownKnobsResolve) {
   for (const auto& k : env::registry()) (void)env::get(k.name);
   ::setenv("FMMFFT_WATCHDOG_MS", "123", 1);
   EXPECT_EQ(env::get_int("FMMFFT_WATCHDOG_MS", 0), 123);
-  ::setenv("FMMFFT_SAMPLE_HZ", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env::get_double("FMMFFT_SAMPLE_HZ", 0.0), 2.5);
   ::setenv("FMMFFT_WATCHDOG_MS", "notanumber", 1);
   EXPECT_EQ(env::get_int("FMMFFT_WATCHDOG_MS", 7), 7);
   ::unsetenv("FMMFFT_WATCHDOG_MS");
-  ::unsetenv("FMMFFT_SAMPLE_HZ");
 }
 
 TEST(EnvRegistry, UnregisteredKnobIsHardError) {
@@ -342,44 +337,6 @@ TEST(Watchdog, SlowButProgressingGraphDoesNotFire) {
   ThreadPool pool(2);
   g.run(pool);
   EXPECT_EQ(health::watchdog_fires(), fires_before);
-}
-
-// ---------------------------------------------------------------------------
-// Span sampler
-
-TEST(Sampler, CountsSpansWithoutTracing) {
-  HealthQuiesce q;
-  ASSERT_FALSE(fmmfft::obs::tracing_enabled());
-  health::sampler_clear();
-  health::enable_sampler(500);
-  {
-    FMMFFT_SPAN("health-sample-span");
-    sleep_ms(120);
-  }
-  health::enable_sampler(0);
-  const auto counts = health::sampler_snapshot();
-  ASSERT_NE(counts.find("health-sample-span"), counts.end());
-  EXPECT_GT(counts.at("health-sample-span"), 0u);
-  EXPECT_GT(health::sampler_samples(), 0u);
-  // Sampling alone must not have recorded any trace spans.
-  EXPECT_FALSE(fmmfft::obs::tracing_enabled());
-}
-
-TEST(Sampler, InnermostSpanWins) {
-  HealthQuiesce q;
-  health::sampler_clear();
-  health::enable_sampler(500);
-  {
-    FMMFFT_SPAN("outer-span");
-    {
-      FMMFFT_SPAN("inner-span");
-      sleep_ms(120);
-    }
-  }
-  health::enable_sampler(0);
-  const auto counts = health::sampler_snapshot();
-  ASSERT_NE(counts.find("inner-span"), counts.end());
-  EXPECT_GT(counts.at("inner-span"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -100,14 +100,6 @@ TEST(Decomp, ParseGrid) {
   EXPECT_THROW(parse_grid("grid"), Error);
 }
 
-TEST(Decomp, DefaultGridIsSquarest) {
-  EXPECT_EQ(default_grid(1), (GridShape{1, 1}));
-  EXPECT_EQ(default_grid(4), (GridShape{2, 2}));
-  EXPECT_EQ(default_grid(8), (GridShape{2, 4}));
-  EXPECT_EQ(default_grid(16), (GridShape{4, 4}));
-  EXPECT_EQ(default_grid(7), (GridShape{1, 7}));
-}
-
 TEST(Decomp, DefaultGrid3dRespectsDivisibility) {
   // 16 devices on a 64^3 grid: 4x4 divides everything.
   EXPECT_EQ(default_grid3d(16, 64, 64, 64), (GridShape{4, 4}));
@@ -134,9 +126,8 @@ TEST(Decomp, ChooseForcedAndInfeasibleThrows) {
 TEST(Decomp, AutoPicksPencilBeyondCrossover) {
   // In 3D a 1x2 "pencil" at G = 2 moves the same exchange bytes as the slab
   // but folds the local i0<->i1 reorientation into its row hop, so the
-  // model prices it strictly cheaper — no tie to break (the 2D decision,
-  // which compares the exchange alone, does tie and goes to slab; see
-  // Choose2dPrefersSlabAtSmallG). At G = 16 the 4x4 grid wins outright.
+  // model prices it strictly cheaper — no tie to break. At G = 16 the 4x4
+  // grid wins outright.
   const Workload w{64 * 64 * 64, true, true};
   auto d2 = choose_decomp(Decomp::Auto, {}, 64, 64, 64, 2, w, p100_nvlink(2));
   EXPECT_TRUE(d2.model_decided);
@@ -179,22 +170,6 @@ TEST(Decomp, PencilTradesMessageCountForBytes) {
     EXPECT_LT(pencil_a2a_seconds(n, eb, s, s, arch), slab_a2a_seconds(n, eb, arch))
         << "g=" << g;
   }
-}
-
-TEST(Decomp, Choose2dAutoKeepsSlabPencilIsExplicit) {
-  // 2D Auto is bytes-first: the factorized exchange doubles wire bytes for
-  // the same permutation, so only an explicit request selects it — even at
-  // tiny N where its latency profile would win on the modeled link.
-  const Workload w{1 << 16, true, true};
-  for (int g : {2, 4, 16}) {
-    auto d = choose_decomp_2d(Decomp::Auto, {}, 256, 256, g, w, p100_nvlink(g));
-    EXPECT_EQ(d.chosen, Decomp::Slab) << "g=" << g;
-    EXPECT_TRUE(d.model_decided);
-    EXPECT_GT(d.pencil_seconds, 0.0) << "both variants still priced";
-  }
-  auto forced = choose_decomp_2d(Decomp::Pencil, {2, 2}, 256, 256, 4, w, p100_nvlink(4));
-  EXPECT_EQ(forced.chosen, Decomp::Pencil);
-  EXPECT_EQ(forced.grid, (GridShape{2, 2}));
 }
 
 }  // namespace
